@@ -51,11 +51,11 @@ type ObsOverhead struct {
 	// budgets of the observer and journal layers, which were accepted
 	// separately.
 	TracedVsJour float64 `json:"traced_vs_jour_pct"`
-	NilAllocs        int64   `json:"nil_allocs_per_pass"`
-	ObsAllocs        int64   `json:"obs_allocs_per_pass"`
-	JourAllocs       int64   `json:"jour_allocs_per_pass"`
-	TracedAllocs     int64   `json:"traced_allocs_per_pass"`
-	SampledTotal     int64   `json:"sampled_total"` // timed queries absorbed by the recorder
+	NilAllocs    int64   `json:"nil_allocs_per_pass"`
+	ObsAllocs    int64   `json:"obs_allocs_per_pass"`
+	JourAllocs   int64   `json:"jour_allocs_per_pass"`
+	TracedAllocs int64   `json:"traced_allocs_per_pass"`
+	SampledTotal int64   `json:"sampled_total"` // timed queries absorbed by the recorder
 }
 
 // measureObsOverhead times nil-observer vs instrumented serving with the
@@ -161,12 +161,15 @@ func measureObsOverhead(c queryCfg, numQueries, iters int) (ObsOverhead, error) 
 	return res, nil
 }
 
-// runObsBench measures the telemetry overhead on the large query-grid
+// obsGrid is the telemetry-overhead workload: the large query-grid
 // cells, where per-query work is smallest relative to the fixed
 // sampling cost and the overhead is therefore most visible.
+var obsGrid = []queryCfg{{100000, 2, 4}, {100000, 3, 4}}
+
+// runObsBench measures the telemetry overhead on the obsGrid cells.
 func runObsBench(numQueries, iters int) ([]ObsOverhead, error) {
 	var all []ObsOverhead
-	for _, c := range []queryCfg{{100000, 2, 4}, {100000, 3, 4}} {
+	for _, c := range obsGrid {
 		r, err := measureObsOverhead(c, numQueries, iters)
 		if err != nil {
 			return nil, err
@@ -207,10 +210,10 @@ type JournalBench struct {
 }
 
 // runJournalBench measures journal drain throughput and ring-overwrite
-// behavior over a live batch engine on the d=2 query cell.
+// behavior over a live batch engine on the first (d=2) obsGrid cell.
 func runJournalBench(numQueries, batches int) (*JournalBench, error) {
 	const perStrand = 1024 // deliberately small: overwrite pressure is the point
-	c := queryCfg{100000, 2, 4}
+	c := obsGrid[0]
 	g := xrand.New(uint64(c.n*31 + c.d))
 	pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformCube, c.n, c.d, g.Split()))
 	sys := nbrsys.KNeighborhood(pts, c.k)

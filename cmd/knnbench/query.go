@@ -50,9 +50,11 @@ var queryGrid = []queryCfg{
 }
 
 // parseProcs turns the -procs flag into the deduplicated sweep list,
-// defaulting to 1, 4, NumCPU when the flag is empty.
-func parseProcs(spec string) ([]int, error) {
-	procs := []int{1, 4, runtime.NumCPU()}
+// defaulting to 1, 4, numCPU when the flag is empty. Entries above
+// numCPU are dropped with a note on stderr: an oversubscribed cell
+// measures the scheduler time-slicing strands, not the build scaling.
+func parseProcs(spec string, numCPU int) ([]int, error) {
+	procs := []int{1, 4, numCPU}
 	if spec != "" {
 		procs = procs[:0]
 		for _, field := range strings.Split(spec, ",") {
@@ -66,10 +68,16 @@ func parseProcs(spec string) ([]int, error) {
 	seen := map[int]bool{}
 	out := procs[:0]
 	for _, p := range procs {
-		if !seen[p] {
+		switch {
+		case p > numCPU:
+			fmt.Fprintf(os.Stderr, "knnbench: skipping procs=%d: only %d CPUs\n", p, numCPU)
+		case !seen[p]:
 			seen[p] = true
 			out = append(out, p)
 		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-procs %q: every entry exceeds the %d CPUs", spec, numCPU)
 	}
 	return out, nil
 }

@@ -71,6 +71,7 @@ type ShapeResult struct {
 type ServeSection struct {
 	Generated string        `json:"generated"`
 	GoVersion string        `json:"go_version"`
+	NumCPU    int           `json:"num_cpu"` // of the load host; bench-serve runs the server there too
 	Addr      string        `json:"addr"`
 	N         int           `json:"n"`
 	D         int           `json:"d"`
@@ -321,26 +322,27 @@ func (l *loader) runShape(shape string) (ShapeResult, error) {
 	stop := make(chan struct{})
 	var swapWG sync.WaitGroup
 	if shape == "swap" {
-		// Hot swaps on a fixed cadence for the whole run: the load's
-		// answers must stay golden across every one of them.
+		// Hot swaps for the whole run: one as the load starts (so a load
+		// shorter than the cadence still overlaps a swap), then one per
+		// cadence. The load's answers must stay golden across every one.
 		swapWG.Add(1)
 		go func() {
 			defer swapWG.Done()
 			tick := time.NewTicker(time.Duration(l.cfg.swapMS) * time.Millisecond)
 			defer tick.Stop()
 			for {
+				resp, err := l.client.Post(url+"/swap", "", nil)
+				if err == nil {
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode == http.StatusOK {
+						swaps.Add(1)
+					}
+				}
 				select {
 				case <-stop:
 					return
 				case <-tick.C:
-					resp, err := l.client.Post(url+"/swap", "", nil)
-					if err == nil {
-						io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-						if resp.StatusCode == http.StatusOK {
-							swaps.Add(1)
-						}
-					}
 				}
 			}
 		}()
@@ -455,13 +457,14 @@ func main() {
 	sec := &ServeSection{
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
+		NumCPU:    runtime.NumCPU(),
 		Addr:      *addr,
 		N:         *n, D: *d, K: *k, Seed: *seed,
 		Golden: *golden,
 		Note: "binary wire protocol, per-request wall-time percentiles under concurrent load; " +
 			"rejected = 503 admission sheds (not errors); swap shape issues POST /swap on a fixed " +
 			"cadence during load — golden_failures counts answers differing from a locally built " +
-			"reference structure over the same point set",
+			fmt.Sprintf("reference structure over the same point set; load host num_cpu=%d", runtime.NumCPU()),
 	}
 	failed := false
 	for _, shape := range strings.Split(*shapes, ",") {

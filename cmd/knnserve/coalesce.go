@@ -10,18 +10,18 @@ import (
 // The coalescer is the admission-control and batching layer between the
 // HTTP handlers and the zero-alloc batch engine. Each replica owns a
 // bounded queue of pending ops and one coalescer goroutine: the
-// goroutine blocks for the first op, then gathers more until either
-// maxBatch queries have accumulated or the batch deadline expires,
-// pins the current snapshot generation, runs one (or two — open and
-// closed queries cannot share a pass) Batcher passes, copies each op's
-// answers into op-owned arenas, and signals the waiting handlers.
+// goroutine blocks for the first op, takes whatever else is already
+// queued (never waiting for more — the gather is work-conserving, see
+// the package doc) up to maxBatch queries, pins the current snapshot
+// generation, runs one (or two — open and closed queries cannot share a
+// pass) Batcher passes, copies each op's answers into op-owned arenas,
+// and signals the waiting handlers.
 //
 // Design constraints, in the batch engine's own style:
 //
 //   - The steady state allocates nothing: ops are pooled by the HTTP
 //     layer, every per-pass slice on the replica is reused, result
-//     arenas grow once per op and are recycled with it, and the
-//     deadline timer is a single reused time.Timer.
+//     arenas grow once per op and are recycled with it.
 //     TestCoalescerSteadyStateAllocs holds the line.
 //
 //   - A pass pins exactly one generation: queries coalesced into one
@@ -85,8 +85,6 @@ type replica struct {
 	qbuf   [][]float64
 	tbuf   []sepdc.TraceContext
 
-	timer *time.Timer
-
 	passes  atomic.Int64 // coalesced Batcher passes run
 	coalesc atomic.Int64 // ops that shared a pass with at least one other
 }
@@ -100,13 +98,9 @@ func newReplica(s *server, idx int) *replica {
 		batch: make([]*op, 0, 64),
 		qbuf:  make([][]float64, 0, s.cfg.maxBatch),
 		tbuf:  make([]sepdc.TraceContext, 0, s.cfg.maxBatch),
-		timer: time.NewTimer(time.Hour),
 	}
 	for i := range r.groups {
 		r.groups[i] = make([]*op, 0, 64)
-	}
-	if !r.timer.Stop() {
-		<-r.timer.C
 	}
 	return r
 }
@@ -122,64 +116,41 @@ func (r *replica) submit(o *op) bool {
 }
 
 // loop is the coalescer goroutine: gather, serve, repeat. On stop it
-// drains whatever is already queued (their handlers are waiting) and
-// returns.
+// serves whatever is still queued (their handlers are waiting) and
+// returns. It is the queue's only receiver, so a non-empty queue never
+// blocks the receive.
 func (r *replica) loop() {
 	defer r.srv.wg.Done()
 	for {
-		var first *op
 		select {
-		case first = <-r.ch:
+		case first := <-r.ch:
+			r.serve(r.gather(first))
 		case <-r.stop:
-			r.drain()
+			for len(r.ch) > 0 {
+				r.serve(r.gather(<-r.ch))
+			}
 			return
 		}
-		first.deq = time.Now()
-		r.batch = append(r.batch[:0], first)
-		nq := len(first.queries)
-
-		// Gather until the size cutover or the batch deadline. The
-		// deadline starts at first arrival — an op never waits longer
-		// than one deadline before its pass starts.
-		if nq < r.srv.cfg.maxBatch {
-			r.timer.Reset(r.srv.cfg.deadline)
-		gather:
-			for nq < r.srv.cfg.maxBatch {
-				select {
-				case o := <-r.ch:
-					o.deq = time.Now()
-					r.batch = append(r.batch, o)
-					nq += len(o.queries)
-				case <-r.timer.C:
-					break gather
-				case <-r.stop:
-					break gather
-				}
-			}
-			if !r.timer.Stop() {
-				select {
-				case <-r.timer.C:
-				default:
-				}
-			}
-		}
-		r.serve(r.batch)
 	}
 }
 
-// drain serves every op still queued after stop, one final pass each
-// wave, so no handler is left waiting on a dead coalescer.
-func (r *replica) drain() {
-	for {
+// gather starts a batch with first and takes the ops already queued,
+// up to the maxBatch cutover, without waiting for more: ops that arrive
+// during the coming pass form the next batch.
+func (r *replica) gather(first *op) []*op {
+	first.deq = time.Now()
+	r.batch = append(r.batch[:0], first)
+	for nq := len(first.queries); nq < r.srv.cfg.maxBatch; {
 		select {
 		case o := <-r.ch:
 			o.deq = time.Now()
-			r.batch = append(r.batch[:0], o)
-			r.serve(r.batch)
+			r.batch = append(r.batch, o)
+			nq += len(o.queries)
 		default:
-			return
+			return r.batch
 		}
 	}
+	return r.batch
 }
 
 // serve answers one gathered batch against a single pinned snapshot

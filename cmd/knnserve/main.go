@@ -4,6 +4,12 @@
 // passes, and swapping in freshly rebuilt snapshots without a serving
 // stall (POST /swap — epoch/RCU semantics via internal/snapshot).
 //
+// Coalescing is work-conserving: each replica runs a pass as soon as it
+// has work, over every request already queued (up to -batch queries).
+// Requests that arrive during a pass form the next one, so batch size
+// follows the backlog — Thm 3.1's amortization grows with load, and an
+// idle server answers a lone request without waiting on a timer.
+//
 // Quickstart:
 //
 //	knnserve -addr :8080 -n 20000 -d 2 -k 3 &
@@ -21,7 +27,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -44,7 +49,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "Batcher strands per replica (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 0, "per-replica pending-request queue bound (0 = 256)")
 		batch    = flag.Int("batch", 0, "coalesced queries per pass before cutover (0 = 512)")
-		deadline = flag.Duration("deadline", 0, "batch gather deadline (0 = 2ms)")
 		sample   = flag.Int("sample", 0, "observer sampling: time 1 in N queries (0 = 16)")
 		blockW   = flag.Int("block-width", 0, "leaf-scan query-blocking width, 1..16 (0 = engine default)")
 		ringSize = flag.Int("journal-ring", 0, "wide-event journal ring capacity per strand; watch sepdc_journal_overwrite_rate (0 = 4096)")
@@ -64,7 +68,6 @@ func main() {
 		workers:       *workers,
 		queue:         *queue,
 		maxBatch:      *batch,
-		deadline:      *deadline,
 		sample:        *sample,
 		blockW:        *blockW,
 		ringSize:      *ringSize,
@@ -76,7 +79,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.handler()}
+	hs := srv.httpServer(*addr)
 	done := make(chan error, 1)
 	go func() { done <- hs.ListenAndServe() }()
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -35,11 +36,12 @@ func testConfig() serverConfig {
 	return serverConfig{
 		n: 900, d: 2, k: 3, seed: 11,
 		replicas: 2, workers: 2,
-		queue: 64, maxBatch: 64, deadline: time.Millisecond,
+		queue: 64, maxBatch: 64,
 	}
 }
 
-// newTestServer boots a server plus an httptest front end and tears both
+// newTestServer boots a server plus an httptest front end (built by the
+// same httpServer helper main uses, timeouts included) and tears both
 // down in order (HTTP first — Close requires no in-flight handlers).
 func newTestServer(t *testing.T, cfg serverConfig) (*server, *httptest.Server) {
 	t.Helper()
@@ -47,7 +49,9 @@ func newTestServer(t *testing.T, cfg serverConfig) (*server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = srv.httpServer("")
+	ts.Start()
 	t.Cleanup(func() {
 		ts.Close()
 		srv.Close()
@@ -455,7 +459,7 @@ func postBinaryE(client *http.Client, url string, queries [][]float64, dim int, 
 func TestCoalescerSteadyStateAllocs(t *testing.T) {
 	cfg := testConfig()
 	cfg.replicas = 1
-	cfg.maxBatch = 8 // an 8-query op skips the gather timer entirely
+	cfg.maxBatch = 8 // an 8-query op fills the cutover on its own
 	srv, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -504,6 +508,210 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	if r.submit(o2) {
 		t.Fatal("second submit accepted past the queue bound")
+	}
+}
+
+// runQueued queues ops on a fresh, not-yet-started replica in slot 0,
+// then starts its coalescer and waits for every op to be answered, so
+// the gather sees the whole backlog at once. srv must see no other
+// traffic: the fresh replica shares slot 0's Batcher.
+func runQueued(t *testing.T, srv *server, ops []*op) *replica {
+	t.Helper()
+	r := newReplica(srv, 0)
+	for i, o := range ops {
+		if !r.submit(o) {
+			t.Fatalf("op %d refused by the queue bound", i)
+		}
+	}
+	srv.wg.Add(1)
+	go r.loop()
+	for _, o := range ops {
+		<-o.done
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+	}
+	close(r.stop)
+	return r
+}
+
+// queuedOps splits queries into ops of per queries each.
+func queuedOps(queries [][]float64, per int) []*op {
+	var ops []*op
+	for lo := 0; lo < len(queries); lo += per {
+		o := newOp()
+		o.queries = queries[lo:min(lo+per, len(queries))]
+		ops = append(ops, o)
+	}
+	return ops
+}
+
+// checkOpAnswers compares every op's rows against want, in op order.
+func checkOpAnswers(t *testing.T, ops []*op, want [][]int) {
+	t.Helper()
+	qi := 0
+	for i, o := range ops {
+		if len(o.res) != len(o.queries) {
+			t.Fatalf("op %d: %d rows for %d queries", i, len(o.res), len(o.queries))
+		}
+		for _, row := range o.res {
+			if !sameRowInts(row, want[qi]) {
+				t.Fatalf("op %d query %d: %v, want %v", i, qi, row, want[qi])
+			}
+			qi++
+		}
+	}
+}
+
+// TestCoalescerServesBacklogInOnePass: ops already queued when the
+// coalescer looks are gathered into a single pass, and every op still
+// gets exactly its own answers.
+func TestCoalescerServesBacklogInOnePass(t *testing.T) {
+	cfg := testConfig()
+	cfg.replicas = 1
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	queries := testQueries(srv, 60, 17) // 12 ops of 5 < maxBatch 64
+	want := golden(t, goldenBatcher(t, srv), queries, false)
+	ops := queuedOps(queries, 5)
+	r := runQueued(t, srv, ops)
+	if got := r.passes.Load(); got != 1 {
+		t.Fatalf("passes = %d, want 1", got)
+	}
+	if got := r.coalesc.Load(); got != int64(len(ops)) {
+		t.Fatalf("coalesced = %d, want %d", got, len(ops))
+	}
+	checkOpAnswers(t, ops, want)
+}
+
+// TestCoalescerSplitsAtMaxBatch: a backlog larger than the cutover is
+// served in ⌈total/maxBatch⌉ passes, none larger than maxBatch when the
+// op size divides it.
+func TestCoalescerSplitsAtMaxBatch(t *testing.T) {
+	cfg := testConfig()
+	cfg.replicas = 1
+	cfg.maxBatch = 8
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	const total = 36 // 9 ops of 4: passes of 8, 8, 8, 8, 4
+	queries := testQueries(srv, total, 23)
+	want := golden(t, goldenBatcher(t, srv), queries, false)
+	ops := queuedOps(queries, 4)
+	r := runQueued(t, srv, ops)
+	wantPasses := int64((total + cfg.maxBatch - 1) / cfg.maxBatch)
+	if got := r.passes.Load(); got != wantPasses {
+		t.Fatalf("passes = %d, want %d", got, wantPasses)
+	}
+	if got := r.coalesc.Load(); got != int64(len(ops)-1) {
+		t.Fatalf("coalesced = %d, want %d (all but the lone last op)", got, len(ops)-1)
+	}
+	checkOpAnswers(t, ops, want)
+}
+
+// TestCoalescerLoneOpNoWait: with an empty queue behind it, a lone op far
+// below the cutover is gathered alone and served at once — the gather
+// returns instead of waiting for company. Driven on the test goroutine,
+// so a gather that blocked would hang the test.
+func TestCoalescerLoneOpNoWait(t *testing.T) {
+	cfg := testConfig()
+	cfg.replicas = 1
+	cfg.maxBatch = 512
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	queries := testQueries(srv, 1, 29)
+	want := golden(t, goldenBatcher(t, srv), queries, false)
+	r := newReplica(srv, 0)
+	o := newOp()
+	o.queries = queries
+	if !r.submit(o) {
+		t.Fatal("queue full with no traffic")
+	}
+	batch := r.gather(<-r.ch)
+	if len(batch) != 1 || batch[0] != o {
+		t.Fatalf("gather returned %d ops, want the lone op", len(batch))
+	}
+	r.serve(batch)
+	<-o.done
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if r.passes.Load() != 1 || r.coalesc.Load() != 0 {
+		t.Fatalf("passes = %d, coalesced = %d; want 1, 0", r.passes.Load(), r.coalesc.Load())
+	}
+	checkOpAnswers(t, []*op{o}, want)
+}
+
+// TestServeSlowlorisCutOff: a client that trickles its request headers
+// is disconnected once the header read timeout passes, while requests
+// on other connections keep getting golden answers.
+func TestServeSlowlorisCutOff(t *testing.T) {
+	srv, ts := newTestServer(t, testConfig())
+	queries := testQueries(srv, 16, 41)
+	want := golden(t, goldenBatcher(t, srv), queries, false)
+
+	start := time.Now()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	header := "POST /query HTTP/1.1\r\nHost: sepdc\r\nX-Trickle: " + strings.Repeat("a", 4096)
+	go func() { // one byte every 20ms until the server hangs up
+		for i := 0; i < len(header); i++ {
+			if _, err := conn.Write([]byte{header[i]}); err != nil {
+				return
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}()
+	cut := make(chan error, 1)
+	go func() {
+		conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+		_, err := conn.Read(make([]byte, 1))
+		cut <- err
+	}()
+
+	check := func() {
+		rows, _ := postBinary(t, ts.Client(), ts.URL, queries, srv.cfg.d, false)
+		for i := range want {
+			if !sameRowU32(rows[i], want[i]) {
+				t.Fatalf("query %d: %v, want %v", i, rows[i], want[i])
+			}
+		}
+	}
+	rounds := 0
+	for {
+		check()
+		rounds++
+		select {
+		case err := <-cut:
+			elapsed := time.Since(start)
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatalf("trickling connection still open after %v", elapsed)
+			}
+			// The server's clock starts at accept, a hair before or
+			// after start; closing much earlier is not the timeout.
+			if elapsed < readHeaderTimeout/2 {
+				t.Fatalf("trickling connection closed after %v, well before the %v header timeout (%v)",
+					elapsed, readHeaderTimeout, err)
+			}
+			check() // the server still serves after the cut
+			t.Logf("cut off after %v; %d golden rounds served meanwhile", elapsed, rounds)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }
 

@@ -28,15 +28,14 @@ type serverConfig struct {
 	n, d, k int
 	seed    uint64
 
-	replicas int           // coalescer strands (queues + goroutines)
-	workers  int           // Batcher strands per replica (0 = GOMAXPROCS)
-	queue    int           // per-replica pending-op queue bound
-	maxBatch int           // coalesced queries per pass cutover
-	deadline time.Duration // batch gather deadline
-	maxBody  int64         // request body cap, bytes
-	sample   int           // observer sampling period (0 = default 16)
-	blockW   int           // leaf-scan query-blocking width (0 = engine default)
-	ringSize int           // journal ring capacity per strand (0 = default 4096)
+	replicas int   // coalescer strands (queues + goroutines)
+	workers  int   // Batcher strands per replica (0 = GOMAXPROCS)
+	queue    int   // per-replica pending-op queue bound
+	maxBatch int   // coalesced queries per pass cutover
+	maxBody  int64 // request body cap, bytes
+	sample   int   // observer sampling period (0 = default 16)
+	blockW   int   // leaf-scan query-blocking width (0 = engine default)
+	ringSize int   // journal ring capacity per strand (0 = default 4096)
 
 	flightDir     string        // flight-recorder bundle directory ("" = off)
 	flightLatency time.Duration // per-pass latency SLO objective
@@ -54,9 +53,6 @@ func (c *serverConfig) defaults() {
 	}
 	if c.maxBatch <= 0 {
 		c.maxBatch = 512
-	}
-	if c.deadline <= 0 {
-		c.deadline = 2 * time.Millisecond
 	}
 	if c.maxBody <= 0 {
 		c.maxBody = 64 << 20
@@ -334,6 +330,28 @@ func (s *server) Close() {
 }
 
 // ---- HTTP layer ----
+
+// Connection timeouts. A client that trickles its request headers
+// (slowloris) or body, or parks an idle keep-alive connection, is cut
+// off instead of holding a connection open forever. There is no write
+// timeout: POST /swap legitimately runs for a whole rebuild.
+const (
+	readHeaderTimeout = 2 * time.Second
+	readTimeout       = 30 * time.Second // whole request, up to maxBody
+	idleTimeout       = 60 * time.Second
+)
+
+// httpServer builds the process's http.Server (main and the tests share
+// it, so the timeouts under test are the ones in production).
+func (s *server) httpServer(addr string) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           s.handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 // handler returns the service mux: the query/swap/health endpoints plus
 // the full observability surface (/metrics, /statsz, /journal, /traces).

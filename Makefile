@@ -23,14 +23,14 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Regenerate the machine-readable BuildKNNGraph benchmark record
-# (includes the query-serving section: pointer vs frozen vs batch).
+# (includes the query-serving section: frozen vs batch).
 bench-json:
 	$(GO) run ./cmd/knnbench -out BENCH_knn.json
 
-# Query-serving benchmarks: the three covering-ball engines and the
-# batched adjacency accessor. CI runs these at -benchtime=1x and diffs
-# against testdata/bench-query-baseline.txt with benchstat when
-# available (informational smoke, not a gate).
+# Query-serving benchmarks: the frozen covering-ball engine (single
+# queries and batched) and the batched adjacency accessor. CI runs these
+# at -benchtime=1x and diffs against testdata/bench-query-baseline.txt
+# with benchstat when available (informational smoke, not a gate).
 bench-query:
 	$(GO) test -run '^$$' -bench 'CoveringBalls|NeighborsBatch' -benchmem .
 
@@ -50,9 +50,11 @@ bench-kernel:
 # identical — the asm leg degrades to unrolled on CPUs without AVX2),
 # plus a purego no-assembly build-and-test leg and a non-amd64
 # cross-compile of the stub path (what CI's kernels-matrix job runs).
+# internal/core is in the tier legs because its punt correction
+# freezes a query structure, capturing the tier's kernels.
 kernels-matrix:
-	KNN_KERNELS=generic $(GO) test -count=1 . ./internal/vec/ ./internal/septree/
-	KNN_KERNELS=asm $(GO) test -count=1 . ./internal/vec/ ./internal/septree/
+	KNN_KERNELS=generic $(GO) test -count=1 . ./internal/vec/ ./internal/septree/ ./internal/core/
+	KNN_KERNELS=asm $(GO) test -count=1 . ./internal/vec/ ./internal/septree/ ./internal/core/
 	$(GO) build -tags purego ./...
 	$(GO) test -tags purego -count=1 ./internal/vec/ ./internal/septree/ ./internal/cpufeat/
 	GOOS=linux GOARCH=arm64 $(GO) build ./...

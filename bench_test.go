@@ -85,10 +85,15 @@ func BenchmarkQueryPoint(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			frozen, err := septree.Freeze(tree)
+			if err != nil {
+				b.Fatal(err)
+			}
 			g := xrand.New(4)
+			var balls []int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tree.Query(pts[g.IntN(len(pts))])
+				balls, _, _ = frozen.Covering(pts[g.IntN(len(pts))], balls[:0])
 			}
 		})
 	}
@@ -301,11 +306,11 @@ func BenchmarkBuildKNNGraph(b *testing.B) {
 	}
 }
 
-// BenchmarkCoveringBalls (E13): the three covering-ball serving engines over
-// one Section-3 structure — the pointer tree, the frozen flat layout, and the
-// batched zero-alloc engine at 1 and 4 strands. ns/op is per query for the
-// sequential modes and per full batch pass for batch-N (which also reports a
-// ns/query metric). `make bench-query` runs this table; CI diffs it against
+// BenchmarkCoveringBalls (E13): the covering-ball serving engine over one
+// Section-3 structure — single frozen queries, and the batched zero-alloc
+// engine at 1 and 4 strands. ns/op is per query for the frozen mode and per
+// full batch pass for batch-N (which also reports a ns/query metric). `make
+// bench-query` runs this table; CI diffs it against
 // testdata/bench-query-baseline.txt with benchstat.
 func BenchmarkCoveringBalls(b *testing.B) {
 	const n, d, k, nq = 10000, 2, 4, 1024
@@ -327,11 +332,6 @@ func BenchmarkCoveringBalls(b *testing.B) {
 			queries[i] = g.InCube(d)
 		}
 	}
-	b.Run("pointer", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			qs.tree.Query(vec.Vec(queries[i%nq]))
-		}
-	})
 	b.Run("frozen", func(b *testing.B) {
 		var buf []int
 		for i := 0; i < b.N; i++ {

@@ -19,9 +19,9 @@ import (
 // the generic fallback (Dist2Flat through an indirect call — the path
 // every d >= 4 call site ran before the dispatch table was widened),
 // the unrolled single-pair kernel, the unrolled four-point kernel, and
-// (on CPUs with the assembly tier) the AVX2 batch forms, all on the
-// same operand stream. Batch columns are normalized per distance (one
-// call produces four or eight).
+// (on CPUs with the assembly tier) the AVX2 eight-lane forms, all on
+// the same operand stream. Batch columns are normalized per distance
+// (one call produces four or eight).
 type KernelResult struct {
 	D               int     `json:"d"`
 	GenericNs       float64 `json:"generic_ns_per_dist"`
@@ -29,13 +29,12 @@ type KernelResult struct {
 	Batch4Ns        float64 `json:"batch4_ns_per_dist"`
 	UnrolledSpeedup float64 `json:"unrolled_speedup"`
 	Batch4Speedup   float64 `json:"batch4_speedup"`
-	// The assembly tier's three batch forms (d = 2..8, AVX2 hosts
-	// only): the four-lane form, the eight-lane pointer-vector form the
-	// query-blocked scan feeds, and the eight-record strided form the
-	// sequential leaf scan feeds. AsmNs is the best of the three;
-	// AsmSpeedup compares it against Batch4Ns — the PR-6 unrolled batch
-	// kernel, i.e. the previous best per-distance path.
-	AsmBatch4Ns   float64 `json:"asm_batch4_ns_per_dist,omitempty"`
+	// The assembly tier's two batch forms (d = 2..8, AVX2 hosts only):
+	// the eight-lane pointer-vector form the query-blocked scan feeds,
+	// and the eight-record strided form the sequential leaf scan feeds.
+	// AsmNs is the better of the two; AsmSpeedup compares it against
+	// Batch4Ns — the unrolled four-point kernel, which also serves the
+	// asm tier's four-lane calls.
 	AsmBatch8Ns   float64 `json:"asm_batch8_ns_per_dist,omitempty"`
 	AsmStrided8Ns float64 `json:"asm_strided8_ns_per_dist,omitempty"`
 	AsmNs         float64 `json:"asm_ns_per_dist,omitempty"`
@@ -108,8 +107,8 @@ func kernelPoints(d, n int) [][]float64 {
 
 // runKernelBench measures the kernel forms per dimension with the same
 // interleaved-minimum protocol as the serving benchmarks: rounds of
-// (generic, unrolled, batch4, asm forms) passes over one operand
-// table, each form keeping its fastest pass. The unrolled and asm
+// (generic, unrolled, batch4, asm eight-lane forms) passes over one
+// operand table, each form keeping its fastest pass. The unrolled and asm
 // kernels are captured under explicitly pinned dispatch tiers so the
 // columns measure what they claim regardless of KNN_KERNELS or the
 // default tier.
@@ -135,15 +134,12 @@ func runKernelBench(dims []int) []KernelResult {
 		prev := vec.SetActiveTier(vec.TierUnrolled)
 		unrolled := vec.Dist2Kernel(d)
 		batch4 := vec.Dist2Batch4Kernel(d)
-		var asmB4 vec.Dist2Batch4Func
 		var asmB8 vec.Dist2Batch8Func
 		var asmS8 vec.Dist2Strided8Func
 		if vec.SetActiveTier(vec.TierAsm); vec.ActiveTier() == vec.TierAsm {
+			// asm covers d = 2..8; outside, both forms are nil.
 			asmB8 = vec.Dist2Batch8Kernel(d)
 			asmS8 = vec.Dist2Strided8Kernel(d)
-			if asmB8 != nil { // asm covers d = 2..8; outside, all forms are nil
-				asmB4 = vec.Dist2Batch4Kernel(d)
-			}
 		}
 		vec.SetActiveTier(prev)
 		pass1 := func(kern vec.Dist2Func) time.Duration {
@@ -153,10 +149,10 @@ func runKernelBench(dims []int) []KernelResult {
 			}
 			return time.Since(start)
 		}
-		pass4 := func(kern vec.Dist2Batch4Func) time.Duration {
+		pass4 := func() time.Duration {
 			start := time.Now()
 			for i := 0; i < passDists/4; i++ {
-				da, db, dc, dd := kern(pts[i&(tablePts-1)], pts[(i+1)&(tablePts-1)],
+				da, db, dc, dd := batch4(pts[i&(tablePts-1)], pts[(i+1)&(tablePts-1)],
 					pts[(i+2)&(tablePts-1)], pts[(i+3)&(tablePts-1)], pts[(i+4)&(tablePts-1)])
 				sink += da + db + dc + dd
 			}
@@ -188,13 +184,11 @@ func runKernelBench(dims []int) []KernelResult {
 		forms := []*form{
 			{run: func() time.Duration { return pass1(generic) }},
 			{run: func() time.Duration { return pass1(unrolled) }},
-			{run: func() time.Duration { return pass4(batch4) }},
+			{run: pass4},
 		}
 		const iGeneric, iUnrolled, iBatch4 = 0, 1, 2
-		iAsmB4, iAsmB8, iAsmS8 := -1, -1, -1
-		if asmB4 != nil {
-			iAsmB4 = len(forms)
-			forms = append(forms, &form{run: func() time.Duration { return pass4(asmB4) }})
+		iAsmB8, iAsmS8 := -1, -1
+		if asmB8 != nil {
 			iAsmB8 = len(forms)
 			forms = append(forms, &form{run: pass8})
 			iAsmS8 = len(forms)
@@ -227,14 +221,10 @@ func runKernelBench(dims []int) []KernelResult {
 		if r.Batch4Ns > 0 {
 			r.Batch4Speedup = r.GenericNs / r.Batch4Ns
 		}
-		if iAsmB4 >= 0 {
-			r.AsmBatch4Ns = perDist(forms[iAsmB4].best)
+		if iAsmB8 >= 0 {
 			r.AsmBatch8Ns = perDist(forms[iAsmB8].best)
 			r.AsmStrided8Ns = perDist(forms[iAsmS8].best)
-			r.AsmNs = r.AsmBatch4Ns
-			if r.AsmBatch8Ns < r.AsmNs {
-				r.AsmNs = r.AsmBatch8Ns
-			}
+			r.AsmNs = r.AsmBatch8Ns
 			if r.AsmStrided8Ns < r.AsmNs {
 				r.AsmNs = r.AsmStrided8Ns
 			}
@@ -244,9 +234,9 @@ func runKernelBench(dims []int) []KernelResult {
 		}
 		fmt.Fprintf(os.Stderr, "kernel d=%d  generic %.2f ns  unrolled %.2f ns (%.2fx)  batch4 %.2f ns/dist (%.2fx)",
 			d, r.GenericNs, r.UnrolledNs, r.UnrolledSpeedup, r.Batch4Ns, r.Batch4Speedup)
-		if iAsmB4 >= 0 {
-			fmt.Fprintf(os.Stderr, "  asm b4/b8/s8 %.2f/%.2f/%.2f ns/dist (%.2fx)",
-				r.AsmBatch4Ns, r.AsmBatch8Ns, r.AsmStrided8Ns, r.AsmSpeedup)
+		if iAsmB8 >= 0 {
+			fmt.Fprintf(os.Stderr, "  asm b8/s8 %.2f/%.2f ns/dist (%.2fx)",
+				r.AsmBatch8Ns, r.AsmStrided8Ns, r.AsmSpeedup)
 		}
 		fmt.Fprintln(os.Stderr)
 		out = append(out, r)
@@ -295,9 +285,10 @@ func phaseMeans(b *septree.Batch, queries [][]float64) (descent, scan float64) {
 // spatially-adjacent queries (a stored center as the run anchor, plus
 // small jitters around it). Correlated runs around stored points are
 // the serving shape the engine actually sees from the library itself:
-// the correction's QueryBatchClosed probes all points of one separator
-// side — stored points, neighbors by construction — and external
-// serving traffic batches are routinely spatially clustered too. Runs
+// the correction's closed covering queries probe all points of one
+// separator side — stored points, neighbors by construction — and
+// external serving traffic batches are routinely spatially clustered
+// too. Runs
 // land whole inside one strand chunk (8 divides batchChunk), so the
 // blocked engine can discover the same-leaf groups; the unblocked
 // reference serves the identical stream query by query.
@@ -373,11 +364,14 @@ func runLayoutBench(dims []int, numQueries, iters int) ([]LayoutResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The reference freezes under the generic tier, which captures the
+		// flat kernels, no batch kernels and no inline descents.
+		prev := vec.SetActiveTier(vec.TierGeneric)
 		ref, err := septree.FreezeLayout(tree, septree.LayoutBFS)
+		vec.SetActiveTier(prev)
 		if err != nil {
 			return nil, err
 		}
-		ref.UseGenericKernels()
 		pf := make([][]float64, len(pts))
 		for i, p := range pts {
 			pf[i] = p

@@ -320,7 +320,7 @@ func main() {
 			"with results on the same machine; grid matches BenchmarkBuildKNNGraph, each " +
 			"cell swept over -procs (GOMAXPROCS + Options.Workers pinned together); " +
 			"observed = one extra instrumented (Observe: true) run per DNC cell, not timed; " +
-			"query = covering-ball serving over one structure per cell — pointer vs frozen " +
+			"query = covering-ball serving over one structure per cell — frozen " +
 			"sequential, batch engine swept over procs 1/4/NumCPU with GOMAXPROCS pinned " +
 			"(procs above num_cpu skipped: oversubscribed cells time the scheduler); " +
 			"query ns/query and qps are the fastest of query-iters identically-sized timed " +
@@ -333,11 +333,11 @@ func main() {
 			"journal = drain throughput with a concurrent consumer and ring-overwrite rate " +
 			"with none, over a deliberately small 1024-event ring; " +
 			"kernels = per-dimension distance-kernel micro-bench (generic fallback vs unrolled vs " +
-			"four-point vs the AVX2 assembly batch forms where the CPU supports them, each captured " +
+			"four-point vs the AVX2 assembly eight-lane forms where the CPU supports them, each captured " +
 			"under an explicitly pinned dispatch tier, interleaved minimum over identical operand " +
 			"streams; asm_speedup is best-asm-form vs the unrolled four-point kernel); layout = whole-path " +
 			"serving per dimension over a correlated query stream (runs of 8 jittered queries per " +
-			"anchor — the shape the correction's QueryBatchClosed and clustered external traffic " +
+			"anchor — the shape the correction's closed covering queries and clustered external traffic " +
 			"produce), ref (breadth-first layout + generic kernels + per-query scans and descents, " +
 			"the PR-5 configuration) vs opt (pair-blocked layout + specialized kernels/descents + " +
 			"query-blocked scans at block_width, 1 at d<=3 where the inline whole-path scans already " +

@@ -181,6 +181,10 @@ func queryCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherPts []
 	}
 	sys := &nbrsys.System{Centers: centers, Radii: radii}
 	tree, err := septree.Build(sys, g.Split(), &septree.Options{Sep: opts.sep(), Done: cc.done})
+	var frozen *septree.Frozen
+	if err == nil {
+		frozen, err = septree.Freeze(tree)
+	}
 	if err != nil {
 		if cc.cancelled() {
 			// The structure build was cut short by cancellation; the punt
@@ -207,23 +211,27 @@ func queryCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherPts []
 	sh.Count(obs.CSeptreeBuilds, 1)
 	sh.Count(obs.CSeptreeStored, int64(tree.Stats.TotalStored))
 
-	// Query all other-side points in parallel: steps = deepest query path,
-	// work = total nodes visited (plus the hits).
-	queries := make([]vec.Vec, len(otherPts))
-	for qi, j := range otherPts {
-		queries[qi] = ps.At(j)
-	}
-	results, cost := tree.QueryBatchClosed(queries, nil)
-	ctx.Charge(cost)
-	hits := 0
-	for qi, ballIdx := range results {
-		j := otherPts[qi]
-		for _, b := range ballIdx {
+	// Query every other-side point with closed balls, so candidates at
+	// exactly the current k-th distance are not lost. The queries are
+	// conceptually all in parallel: steps = deepest query path plus two
+	// (distribute the queries, pack the results), work = Σ (nodes
+	// visited + balls reported) — Theorem 3.1's query-phase accounting.
+	// Hits arrive per query in ascending ball order.
+	var covering []int
+	hits, deepest, work := 0, 0, 0
+	for _, j := range otherPts {
+		pj := ps.At(j)
+		var visited int
+		covering, visited, _ = frozen.CoveringClosed(pj, covering[:0])
+		deepest = max(deepest, visited)
+		work += visited + len(covering)
+		for _, b := range covering {
 			i := finite[b]
-			lists[i].Insert(j, dist2(ps.At(i), ps.At(j)))
-			hits++
+			lists[i].Insert(j, dist2(ps.At(i), pj))
 		}
+		hits += len(covering)
 	}
+	ctx.Charge(vm.Cost{Steps: int64(deepest) + 2, Work: int64(work)})
 	tl.add(func(s *Stats) {
 		s.CandidatePairs += hits
 		s.QueryCorrections++

@@ -82,11 +82,17 @@ func runE2(cfg Config) []*stats.Table {
 		if err != nil {
 			continue
 		}
+		frozen, err := septree.Freeze(tree)
+		if err != nil {
+			continue
+		}
 		logN := math.Log2(float64(len(pts)))
 		total, maxV := 0, 0
 		queries := 400
+		var balls []int
 		for q := 0; q < queries; q++ {
-			_, visited := tree.Query(pts[g.IntN(len(pts))])
+			var visited int
+			balls, visited, _ = frozen.Covering(pts[g.IntN(len(pts))], balls[:0])
 			total += visited
 			if visited > maxV {
 				maxV = visited

@@ -32,17 +32,22 @@ func runE15(cfg Config) []*stats.Table {
 			queries[i] = g.IntN(len(pts))
 		}
 
-		// Separator-based structure (Section 3).
+		// Separator-based structure (Section 3), frozen for querying.
 		start := time.Now()
 		tree, err := septree.Build(sys, g.Split(), nil)
+		if err != nil {
+			continue
+		}
+		frozen, err := septree.Freeze(tree)
 		if err != nil {
 			continue
 		}
 		buildSep := time.Since(start)
 		start = time.Now()
 		sepAnswers := 0
+		var balls []int
 		for _, q := range queries {
-			balls, _ := tree.Query(pts[q])
+			balls, _, _ = frozen.Covering(pts[q], balls[:0])
 			sepAnswers += len(balls)
 		}
 		querySep := time.Since(start)

@@ -49,9 +49,14 @@ func BenchmarkQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	f, err := Freeze(tree)
+	if err != nil {
+		b.Fatal(err)
+	}
 	g := xrand.New(4)
+	var balls []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.Query(sys.Centers[g.IntN(sys.Len())])
+		balls, _, _ = f.Covering(sys.Centers[g.IntN(sys.Len())], balls[:0])
 	}
 }

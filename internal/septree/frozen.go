@@ -9,10 +9,12 @@ import (
 	"sepdc/internal/vec"
 )
 
-// Frozen is the query-optimized representation of a built Tree: a
-// structure-of-arrays layout with no per-node pointers on the descent
-// path. The pointer Tree stays the canonical build/validation form;
-// Freeze converts it once and queries run against flat arrays:
+// Frozen is the query-optimized representation of a built Tree and the
+// repository's only covering-ball query engine: a structure-of-arrays
+// layout with no per-node pointers on the descent path. The pointer Tree
+// stays the canonical build/validation form; Freeze converts it once and
+// every query — serving, the build's punt correction, the experiments —
+// runs against flat arrays:
 //
 //   - Nodes are stored with sibling pairs adjacent, so an internal node
 //     records only its left child id (right = left + 1) and the branch
@@ -29,14 +31,14 @@ import (
 //     hyperplane punts), so the descent touches one contiguous record
 //     per node. The r² band [lo, hi] brackets radius² with enough margin
 //     that for any squared distance outside it, comparing against the
-//     band provably agrees with the pointer path's √dist² vs radius
+//     band provably agrees with the separator's √dist² vs radius Side
 //     test; the sqrt is evaluated only inside the band, taking the
 //     correctly-rounded square root off the descent's dependency chain
 //     on essentially every node without changing a single branch
 //     decision.
 //   - Leaf ball ids are packed CSR-style into one []int32, pre-sorted
-//     ascending, which makes the post-scan sort.Ints of the pointer path
-//     unnecessary: filtering a sorted list yields sorted output.
+//     ascending, so no post-scan sort is needed: filtering a sorted list
+//     yields sorted output.
 //   - Each leaf's candidate ball records (center ‖ r², stride d+1) are
 //     inlined next to each other in a parallel CSR array, so the leaf
 //     scan is one sequential stream with no per-candidate indirection —
@@ -44,13 +46,14 @@ import (
 //     asymptotic space as the id lists Lemma 3.1 already charges for)
 //     for hardware-prefetchable scans. Radii are stored pre-squared,
 //     eliminating the per-candidate multiply; r² is computed by the same
-//     single multiplication the pointer path performs, so results stay
-//     bit-identical.
+//     single multiplication r*r of the membership predicate, so results
+//     stay bit-identical.
 //
 // All traversal arithmetic goes through the d-specialized vec kernels,
-// which are bit-identical to the generic forms; Covering/CoveringClosed
-// therefore return exactly the ids, in exactly the order, of
-// Tree.Query/Tree.QueryClosed.
+// which are bit-identical to the generic forms. Covering/CoveringClosed
+// therefore return, in ascending order, exactly the ids the brute-force
+// predicate selects over the neighborhood system: vec.Dist2(q, c) < r*r
+// for open balls, vec.Dist2(q, c) <= r*r+geom.Eps for closed ones.
 type Frozen struct {
 	dim     int
 	stride  int // dim + 1: ball record width (center ‖ r²)
@@ -206,12 +209,13 @@ func freezeOrder(t *Tree, order []*Node, layout Layout) (*Frozen, error) {
 	// tier (KNN_KERNELS / vec.SetActiveTier). The eight-lane forms are
 	// nil on tiers or builds without assembly, which the scan loops
 	// treat as "use the four-wide path". The generic tier freezes with
-	// no batch kernels at all and skips the d=4..8 inline descents —
-	// the same configuration UseGenericKernels restores — so a
-	// KNN_KERNELS=generic run exercises the pre-dispatch arithmetic end
-	// to end. (The scan loops also rely on batch kernels reading only
-	// [0, dim) of the candidate's slot, which the flat generic batch
-	// kernel does not guarantee.)
+	// the flat kernels, no batch kernels at all, and skips the d=4..8
+	// inline descents, so a KNN_KERNELS=generic run (or a freeze under
+	// vec.SetActiveTier(vec.TierGeneric), knnbench's reference
+	// configuration) exercises the pre-dispatch arithmetic end to end.
+	// (The scan loops also rely on batch kernels reading only [0, dim)
+	// of the candidate's slot, which the flat generic batch kernel does
+	// not guarantee.)
 	f := &Frozen{
 		dim:     dim,
 		stride:  dim + 1,
@@ -278,23 +282,6 @@ func freezeOrder(t *Tree, order []*Node, layout Layout) (*Frozen, error) {
 	return f, nil
 }
 
-// UseGenericKernels re-points the traversal at the pre-dispatch generic
-// kernels, disables four-wide candidate batching, and turns off the
-// d=4..8 inline descents — the exact arithmetic path every d ∉ {2,3}
-// query took before the kernel dispatch table was widened. It exists as
-// knnbench's reference configuration for the kernel/layout sections;
-// answers are bit-identical either way (the d = 2/3 inlined traversals
-// are unaffected: they predate the dispatch table). Not safe to call
-// concurrently with queries.
-func (f *Frozen) UseGenericKernels() {
-	f.dist2 = vec.Dist2Flat
-	f.dot = vec.DotFlat
-	f.batch4 = nil
-	f.batch8 = nil
-	f.strided8 = nil
-	f.generic = true
-}
-
 // sqrtFreeBand returns [lo, hi] bracketing r² such that for any squared
 // distance d2 with d2 > hi, √d2 > r is certain, and with d2 < lo,
 // √d2 ≤ r is certain — even though √ is evaluated in correctly-rounded
@@ -330,7 +317,7 @@ func (f *Frozen) StoredBalls() int { return len(f.leafBalls) }
 
 // descend walks from the root to the leaf containing q and returns the
 // leaf's node id and the number of nodes visited on the way (leaf
-// included, matching Tree.Query's accounting).
+// included: len of DescendPath's path).
 func (f *Frozen) descend(q []float64) (int32, int) {
 	dist2, dot := f.dist2, f.dot
 	nstride, dim := f.nstride, f.dim
@@ -342,7 +329,7 @@ func (f *Frozen) descend(q []float64) (int32, int) {
 		// The paper's rule sends Side <= 0 (interior, incl. on-surface)
 		// left. Phrased as "right only when strictly positive" so that a
 		// NaN side (unreachable through the validated public API) takes
-		// the same branch as the pointer path's Side() == 0 case.
+		// the same branch as the Side() == 0 case.
 		right := false
 		if f.kind[i] == kindSphere {
 			d2 := dist2(q, rec[:dim])
@@ -718,7 +705,7 @@ func (f *Frozen) scanLeafBlock(leaf int32, qs [][]float64, closed bool, outs [][
 }
 
 // Covering appends to out the ids of all balls whose open interior
-// contains q, in ascending order — the frozen equivalent of Tree.Query.
+// contains q, in ascending order.
 // It returns the extended slice, the nodes visited, and the number of
 // leaf candidates scanned. out is reused via append semantics; pass
 // out[:0] to recycle a buffer. The call allocates only if out's capacity
@@ -736,7 +723,9 @@ func (f *Frozen) Covering(q []float64, out []int) (res []int, nodesVisited, leaf
 }
 
 // CoveringClosed is Covering with closed-ball membership (boundary
-// included) — the frozen equivalent of Tree.QueryClosed.
+// included, with geom.Eps slack on r²). The build's punt correction
+// uses closed balls so that candidate neighbors at exactly the current
+// k-th distance are not lost.
 func (f *Frozen) CoveringClosed(q []float64, out []int) (res []int, nodesVisited, leafScanned int) {
 	switch f.dim {
 	case 2:
@@ -754,7 +743,7 @@ func (f *Frozen) CoveringClosed(q []float64, out []int) (res []int, nodesVisited
 // the dominant cost of the generic path at these dimensions. Every
 // floating-point expression mirrors the corresponding kernel operation for
 // operation (same operands, same order), so the results remain
-// bit-identical to the generic path and to the pointer tree.
+// bit-identical to the generic path.
 
 func (f *Frozen) covering2(q []float64, out []int, closed bool) (res []int, nodesVisited, leafScanned int) {
 	q0, q1 := q[0], q[1]
@@ -967,7 +956,7 @@ func (f *Frozen) descendPath3(q []float64, path []int32) (leaf int32, outPath []
 // blocked batch engine's phase 1 (and the telemetry's sampled queries)
 // route here. Each distance/dot expression is the corresponding vec
 // kernel's, operation for operation, keeping branch decisions
-// bit-identical to the generic loop; UseGenericKernels bypasses these.
+// bit-identical to the generic loop; the generic tier bypasses these.
 
 func (f *Frozen) descendPath4(q []float64, path []int32) (leaf int32, outPath []int32) {
 	q0, q1, q2, q3 := q[0], q[1], q[2], q[3]

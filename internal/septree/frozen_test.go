@@ -38,9 +38,11 @@ func equalInts(a, b []int) bool {
 }
 
 // TestFrozenMatchesTree is the layout-correctness contract: the frozen
-// traversal returns exactly the ids, in exactly the order, of the
-// pointer traversal — for both the open and closed predicates, across
-// dimensions, distributions, and degenerate (forced-leaf) trees.
+// form of a built tree returns exactly the ids, in ascending order, of
+// the brute-force predicate over the neighborhood system — for both the
+// open and closed predicates, across dimensions, distributions, and
+// degenerate (forced-leaf) trees — and counts as visited exactly the
+// nodes of its DescendPath route.
 func TestFrozenMatchesTree(t *testing.T) {
 	g := xrand.New(7)
 	for _, d := range []int{1, 2, 3, 4} {
@@ -62,6 +64,7 @@ func TestFrozenMatchesTree(t *testing.T) {
 				t.Fatalf("leaves %d, want %d", f.NumLeaves(), tree.Stats.Leaves)
 			}
 			var buf []int
+			var path []int32
 			for trial := 0; trial < 150; trial++ {
 				var q vec.Vec
 				if trial%2 == 0 {
@@ -69,19 +72,21 @@ func TestFrozenMatchesTree(t *testing.T) {
 				} else {
 					q = vec.Vec(g.InCube(d))
 				}
-				want, wantVisited := tree.Query(q)
 				var visited int
 				buf, visited, _ = f.Covering(q, buf[:0])
-				if !equalInts(buf, want) {
-					t.Fatalf("d=%d %s trial %d: frozen %v, tree %v", d, dist, trial, buf, want)
+				if want := bruteCovering(sys, q, false); !equalInts(buf, want) {
+					t.Fatalf("d=%d %s trial %d: frozen %v, brute %v", d, dist, trial, buf, want)
 				}
-				if visited != wantVisited {
-					t.Fatalf("d=%d trial %d: frozen visited %d, tree %d", d, trial, visited, wantVisited)
+				_, path = f.DescendPath(q, path[:0])
+				if visited != len(path) {
+					t.Fatalf("d=%d trial %d: frozen visited %d, path %d", d, trial, visited, len(path))
 				}
-				wantC, _ := tree.QueryClosed(q)
-				buf, _, _ = f.CoveringClosed(q, buf[:0])
-				if !equalInts(buf, wantC) {
-					t.Fatalf("d=%d %s trial %d closed: frozen %v, tree %v", d, dist, trial, buf, wantC)
+				buf, visited, _ = f.CoveringClosed(q, buf[:0])
+				if want := bruteCovering(sys, q, true); !equalInts(buf, want) {
+					t.Fatalf("d=%d %s trial %d closed: frozen %v, brute %v", d, dist, trial, buf, want)
+				}
+				if visited != len(path) {
+					t.Fatalf("d=%d trial %d closed: frozen visited %d, path %d", d, trial, visited, len(path))
 				}
 			}
 		}
@@ -118,7 +123,7 @@ func TestFrozenForcedLeaf(t *testing.T) {
 
 // TestBatchMatchesSequential checks the engine at several strand counts:
 // per query, Result(i) must be byte-identical to a sequential frozen (and
-// pointer-tree) answer, for both predicates.
+// brute-force) answer, for both predicates.
 func TestBatchMatchesSequential(t *testing.T) {
 	tree, pts := buildUniform(t, 1500, 2, 3, 11, nil)
 	f, err := Freeze(tree)
@@ -139,17 +144,15 @@ func TestBatchMatchesSequential(t *testing.T) {
 			}
 			var buf []int
 			for i, q := range queries {
-				var want []int
+				want := bruteCovering(tree.Sys, q, closed)
 				if closed {
-					want, _ = tree.QueryClosed(q)
 					buf, _, _ = f.CoveringClosed(q, buf[:0])
 				} else {
-					want, _ = tree.Query(q)
 					buf, _, _ = f.Covering(q, buf[:0])
 				}
 				got := b.Result(i)
 				if !equalInts(got, want) {
-					t.Fatalf("workers=%d closed=%v query %d: batch %v, tree %v", workers, closed, i, got, want)
+					t.Fatalf("workers=%d closed=%v query %d: batch %v, brute %v", workers, closed, i, got, want)
 				}
 				if !equalInts(got, buf) {
 					t.Fatalf("workers=%d closed=%v query %d: batch %v, frozen %v", workers, closed, i, got, buf)
@@ -197,7 +200,7 @@ func TestBatchEnginesConcurrent(t *testing.T) {
 	queries := queryMix(pts, 3, 300, 41)
 	want := make([][]int, len(queries))
 	for i, q := range queries {
-		want[i], _ = tree.Query(q)
+		want[i] = bruteCovering(tree.Sys, q, false)
 	}
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
@@ -237,7 +240,7 @@ func TestBatchTinyAndEmpty(t *testing.T) {
 	}
 	q := [][]float64{pts[0]}
 	b.Run(q)
-	want, _ := tree.Query(vec.Vec(q[0]))
+	want := bruteCovering(tree.Sys, q[0], false)
 	if !equalInts(b.Result(0), want) {
 		t.Fatalf("single-query batch %v, want %v", b.Result(0), want)
 	}

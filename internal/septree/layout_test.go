@@ -5,6 +5,7 @@ import (
 
 	"sepdc/internal/nbrsys"
 	"sepdc/internal/pointgen"
+	"sepdc/internal/vec"
 	"sepdc/internal/xrand"
 )
 
@@ -115,10 +116,12 @@ func TestBlockedOrderPermutation(t *testing.T) {
 	}
 }
 
-// TestUseGenericKernels pins the knnbench reference toggle: re-pointing
-// a frozen tree at the generic kernels changes no answer and no
-// counter, at the specialized dimensions and above the dispatch table.
-func TestUseGenericKernels(t *testing.T) {
+// TestGenericTierFreeze pins knnbench's reference configuration: a tree
+// frozen under vec.TierGeneric captures the flat kernels, no batch
+// kernels, and skips the inline descents, yet answers with the same ids
+// and counters as the default freeze, at the specialized dimensions and
+// above the dispatch table.
+func TestGenericTierFreeze(t *testing.T) {
 	g := xrand.New(47)
 	for _, d := range []int{4, 6, 9} {
 		pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformCube, 800, d, g.Split()))
@@ -131,11 +134,15 @@ func TestUseGenericKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		prev := vec.SetActiveTier(vec.TierGeneric)
 		ref, err := Freeze(tree)
+		vec.SetActiveTier(prev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref.UseGenericKernels()
+		if !ref.generic || ref.batch4 != nil || ref.batch8 != nil || ref.strided8 != nil {
+			t.Fatalf("d=%d: generic-tier freeze kept specialized kernels", d)
+		}
 		var a, b []int
 		for qi, q := range queryMix(pts, d, 200, uint64(90+d)) {
 			var av, as, bv, bs int

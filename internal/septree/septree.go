@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"sepdc/internal/geom"
 	"sepdc/internal/nbrsys"
@@ -291,34 +290,6 @@ func summarize(root *Node) BuildStats {
 	return st
 }
 
-// Query returns, in ascending order, the indices of all balls whose open
-// interior contains p, by descending the tree (interior side on Side <= 0,
-// per the paper's rule of sending on-sphere points left) and scanning one
-// leaf. nodesVisited is returned for the query-cost experiment.
-func (t *Tree) Query(p vec.Vec) (balls []int, nodesVisited int) {
-	n := t.Root
-	for n != nil && !n.IsLeaf() {
-		nodesVisited++
-		if n.Sep.Side(p) <= 0 {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-	}
-	if n == nil {
-		return nil, nodesVisited
-	}
-	nodesVisited++
-	for _, j := range n.Balls {
-		r := t.Sys.Radii[j]
-		if vec.Dist2(p, t.Sys.Centers[j]) < r*r {
-			balls = append(balls, j)
-		}
-	}
-	sort.Ints(balls)
-	return balls, nodesVisited
-}
-
 // Validate checks the structural invariants the correctness proof relies
 // on, for tests and debugging:
 //
@@ -372,56 +343,4 @@ func (t *Tree) Validate() error {
 		}
 	}
 	return nil
-}
-
-// QueryBatchClosed answers a closed-ball covering query for every point,
-// conceptually all in parallel: the returned cost has steps equal to the
-// deepest single query (plus the reporting primitive) and work equal to
-// the total nodes visited plus balls reported — the accounting of
-// Theorem 3.1's query phase. Execution parallelism follows the machine m
-// (nil for sequential).
-func (t *Tree) QueryBatchClosed(pts []vec.Vec, m *vm.Machine) ([][]int, vm.Cost) {
-	out := make([][]int, len(pts))
-	if len(pts) == 0 {
-		return out, vm.Cost{}
-	}
-	if m == nil {
-		m = vm.Sequential()
-	}
-	ctx := m.NewCtx()
-	visited := make([]int, len(pts))
-	ctx.ForkN(len(pts), func(i int, c *vm.Ctx) {
-		out[i], visited[i] = t.QueryClosed(pts[i])
-		c.Charge(vm.Cost{Steps: int64(visited[i]), Work: int64(visited[i] + len(out[i]))})
-	})
-	cost := ctx.Cost()
-	cost.Steps += 2 // distribute queries + pack results
-	return out, cost
-}
-
-// QueryClosed is Query with closed-ball membership (boundary included);
-// the divide-and-conquer correction uses closed balls so that candidate
-// neighbors at exactly the current k-th distance are not lost.
-func (t *Tree) QueryClosed(p vec.Vec) (balls []int, nodesVisited int) {
-	n := t.Root
-	for n != nil && !n.IsLeaf() {
-		nodesVisited++
-		if n.Sep.Side(p) <= 0 {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-	}
-	if n == nil {
-		return nil, nodesVisited
-	}
-	nodesVisited++
-	for _, j := range n.Balls {
-		r := t.Sys.Radii[j]
-		if vec.Dist2(p, t.Sys.Centers[j]) <= r*r+geom.Eps {
-			balls = append(balls, j)
-		}
-	}
-	sort.Ints(balls)
-	return balls, nodesVisited
 }

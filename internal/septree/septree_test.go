@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sepdc/internal/brute"
+	"sepdc/internal/geom"
 	"sepdc/internal/nbrsys"
 	"sepdc/internal/pointgen"
 	"sepdc/internal/vec"
@@ -24,9 +25,35 @@ func buildUniform(t testing.TB, n, d, k int, seed uint64, opts *Options) (*Tree,
 	return tree, pts
 }
 
+func mustFreeze(t testing.TB, tree *Tree) *Frozen {
+	t.Helper()
+	f, err := Freeze(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// bruteCovering is the reference every query engine answers to: the ids,
+// ascending, of the balls of sys whose open (vec.Dist2 < r*r) or closed
+// (vec.Dist2 <= r*r+geom.Eps) ball contains q.
+func bruteCovering(sys *nbrsys.System, q []float64, closed bool) []int {
+	var out []int
+	for i, c := range sys.Centers {
+		r := sys.Radii[i]
+		d2 := vec.Dist2(q, c)
+		if closed && d2 <= r*r+geom.Eps || !closed && d2 < r*r {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 func TestQueryMatchesBrute(t *testing.T) {
 	tree, pts := buildUniform(t, 2000, 2, 2, 1, nil)
+	f := mustFreeze(t, tree)
 	g := xrand.New(99)
+	var got []int
 	for trial := 0; trial < 200; trial++ {
 		var q vec.Vec
 		if trial%2 == 0 {
@@ -34,16 +61,9 @@ func TestQueryMatchesBrute(t *testing.T) {
 		} else {
 			q = vec.Vec(g.InCube(2))
 		}
-		got, _ := tree.Query(q)
-		want := 0
-		for i := range pts {
-			r := tree.Sys.Radii[i]
-			if vec.Dist2(q, tree.Sys.Centers[i]) < r*r {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("trial %d: Query found %d balls, brute %d", trial, len(got), want)
+		got, _, _ = f.Covering(q, got[:0])
+		if want := bruteCovering(tree.Sys, q, false); !equalInts(got, want) {
+			t.Fatalf("trial %d: Covering found %v, brute %v", trial, got, want)
 		}
 	}
 }
@@ -58,9 +78,11 @@ func TestQueryAcrossDistributionsAndDims(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s d=%d: %v", dist, d, err)
 			}
+			f := mustFreeze(t, tree)
+			var got []int
 			for trial := 0; trial < 40; trial++ {
 				q := pts[g.IntN(len(pts))]
-				got, _ := tree.Query(q)
+				got, _, _ = f.Covering(q, got[:0])
 				want := brute.CountCoveringBalls(sys.Centers, sys.Radii, q)
 				if len(got) != want {
 					t.Fatalf("%s d=%d trial %d: %d vs brute %d", dist, d, trial, len(got), want)
@@ -70,20 +92,23 @@ func TestQueryAcrossDistributionsAndDims(t *testing.T) {
 	}
 }
 
-func TestQueryClosedIncludesBoundary(t *testing.T) {
+func TestCoveringClosedIncludesBoundary(t *testing.T) {
 	sys := &nbrsys.System{
 		Centers: []vec.Vec{vec.Of(0, 0), vec.Of(10, 10)},
 		Radii:   []float64{1, 1},
 	}
-	tree := &Tree{Sys: sys, Root: &Node{Balls: []int{0, 1}}}
+	f := mustFreeze(t, &Tree{Sys: sys, Root: &Node{Balls: []int{0, 1}}})
 	onBoundary := vec.Of(1, 0)
-	open, _ := tree.Query(onBoundary)
-	closed, _ := tree.QueryClosed(onBoundary)
+	open, _, _ := f.Covering(onBoundary, nil)
+	closed, _, _ := f.CoveringClosed(onBoundary, nil)
 	if len(open) != 0 {
 		t.Errorf("open query returned %v for boundary point", open)
 	}
 	if len(closed) != 1 || closed[0] != 0 {
 		t.Errorf("closed query = %v", closed)
+	}
+	if !equalInts(open, bruteCovering(sys, onBoundary, false)) || !equalInts(closed, bruteCovering(sys, onBoundary, true)) {
+		t.Errorf("boundary answers %v / %v disagree with the brute-force predicates", open, closed)
 	}
 }
 
@@ -180,10 +205,12 @@ func TestParallelBuildMatchesCostModel(t *testing.T) {
 		t.Errorf("cost model depends on execution: %v vs %v", seq.Stats.Cost, par.Stats.Cost)
 	}
 	// Verify correctness of the parallel tree.
+	f := mustFreeze(t, par)
 	gq := xrand.New(9)
+	var got []int
 	for trial := 0; trial < 50; trial++ {
 		q := pts[gq.IntN(len(pts))]
-		got, _ := par.Query(q)
+		got, _, _ = f.Covering(q, got[:0])
 		want := brute.CountCoveringBalls(sys.Centers, sys.Radii, q)
 		if len(got) != want {
 			t.Fatalf("parallel tree query wrong: %d vs %d", len(got), want)
@@ -193,10 +220,13 @@ func TestParallelBuildMatchesCostModel(t *testing.T) {
 
 func TestQueryCostLogarithmic(t *testing.T) {
 	tree, pts := buildUniform(t, 8000, 2, 1, 10, nil)
+	f := mustFreeze(t, tree)
 	g := xrand.New(11)
 	maxVisited := 0
+	var balls []int
 	for trial := 0; trial < 100; trial++ {
-		_, visited := tree.Query(pts[g.IntN(len(pts))])
+		var visited int
+		balls, visited, _ = f.Covering(pts[g.IntN(len(pts))], balls[:0])
 		if visited > maxVisited {
 			maxVisited = visited
 		}
@@ -263,44 +293,6 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	_ = err // the ball-drop case is allowed to pass; see comment
 }
 
-func TestQueryBatchClosedMatchesSingle(t *testing.T) {
-	tree, pts := buildUniform(t, 1000, 2, 2, 20, nil)
-	queries := pts[:200]
-	for _, m := range []*vm.Machine{nil, vm.NewMachine(4)} {
-		results, cost := tree.QueryBatchClosed(queries, m)
-		if len(results) != len(queries) {
-			t.Fatalf("got %d results", len(results))
-		}
-		maxVisited := 0
-		for i, q := range queries {
-			want, visited := tree.QueryClosed(q)
-			if visited > maxVisited {
-				maxVisited = visited
-			}
-			if len(results[i]) != len(want) {
-				t.Fatalf("query %d: %d vs %d balls", i, len(results[i]), len(want))
-			}
-			for j := range want {
-				if results[i][j] != want[j] {
-					t.Fatalf("query %d ball %d differs", i, j)
-				}
-			}
-		}
-		// Steps equal the deepest single query plus the two batch
-		// primitives; work at least the visited total.
-		if cost.Steps != int64(maxVisited)+2 {
-			t.Errorf("batch steps = %d, want %d", cost.Steps, maxVisited+2)
-		}
-		if cost.Work <= 0 {
-			t.Error("no work charged")
-		}
-	}
-	empty, cost := tree.QueryBatchClosed(nil, nil)
-	if len(empty) != 0 || cost.Steps != 0 {
-		t.Error("empty batch charged")
-	}
-}
-
 func TestBuildRejectsBadInput(t *testing.T) {
 	if _, err := Build(&nbrsys.System{}, xrand.New(1), nil); err == nil {
 		t.Error("empty system accepted")
@@ -323,7 +315,7 @@ func TestBuildTinySystemIsLeaf(t *testing.T) {
 	if !tree.Root.IsLeaf() {
 		t.Error("tiny system should be a single leaf")
 	}
-	got, _ := tree.Query(vec.Of(0, 0))
+	got, _, _ := mustFreeze(t, tree).Covering(vec.Of(0, 0), nil)
 	if len(got) != 1 || got[0] != 0 {
 		t.Errorf("tiny query = %v", got)
 	}
@@ -342,7 +334,7 @@ func TestBuildIdenticalCentersTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := tree.Query(vec.Of(1, 1))
+	got, _, _ := mustFreeze(t, tree).Covering(vec.Of(1, 1), nil)
 	if len(got) != n {
 		t.Errorf("identical-center query = %d, want %d", len(got), n)
 	}

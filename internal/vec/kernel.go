@@ -79,7 +79,8 @@ type Dist2Strided8Func func(q, recs []float64, stride int) (d0, d1, d2, d3, d4, 
 //
 // Single-pair calls stay on the unrolled Go bodies even under TierAsm:
 // at one distance per indirect call the ABI0 spill cost of an assembly
-// callee would eat any SIMD gain, so only the batch forms go to asm.
+// callee would eat any SIMD gain, so only the eight-lane batch forms go
+// to asm.
 func Dist2Kernel(d int) Dist2Func {
 	if activeTier == TierGeneric {
 		return Dist2Flat
@@ -135,16 +136,12 @@ func DotKernel(d int) DotFunc {
 // Dist2Batch4Kernel returns the four-point squared-distance kernel
 // specialized for dimension d. Every lane is bit-identical to
 // Dist2Flat — and therefore to Dist2Kernel(d) — on the same operands.
-// Under TierAsm and d=2..8 the returned function is the AVX2 assembly
-// body; four distances per call is enough to amortize its ABI0 spill.
+// TierAsm serves the unrolled form too: four distances per call do not
+// amortize an assembly body's ABI0 spill, so only the eight-lane forms
+// exist in assembly.
 func Dist2Batch4Kernel(d int) Dist2Batch4Func {
 	if activeTier == TierGeneric {
 		return dist2Batch4Flat
-	}
-	if activeTier == TierAsm && d >= 2 && d <= 8 {
-		if k := asmBatch4[d]; k != nil {
-			return k
-		}
 	}
 	switch d {
 	case 2:

@@ -10,33 +10,11 @@ import "sepdc/internal/cpufeat"
 // kernels and engage them only on capable hardware.
 var asmSupported = cpufeat.HasAVX2()
 
-// Four-lane batch kernels, one TEXT per dimension. Implemented in
-// kernel_amd64.s; every lane is bit-identical to Dist2Flat.
-
-//go:noescape
-func dist2Batch4Asm2(q, a, b, c, d []float64) (da, db, dc, dd float64)
-
-//go:noescape
-func dist2Batch4Asm3(q, a, b, c, d []float64) (da, db, dc, dd float64)
-
-//go:noescape
-func dist2Batch4Asm4(q, a, b, c, d []float64) (da, db, dc, dd float64)
-
-//go:noescape
-func dist2Batch4Asm5(q, a, b, c, d []float64) (da, db, dc, dd float64)
-
-//go:noescape
-func dist2Batch4Asm6(q, a, b, c, d []float64) (da, db, dc, dd float64)
-
-//go:noescape
-func dist2Batch4Asm7(q, a, b, c, d []float64) (da, db, dc, dd float64)
-
-//go:noescape
-func dist2Batch4Asm8(q, a, b, c, d []float64) (da, db, dc, dd float64)
-
-// Eight-lane batch kernels: two ymm accumulators, eight distances per
-// indirect call. The point headers are loaded from ps inside the
-// kernel; ps must hold at least eight slices of at least d elements.
+// Eight-lane batch kernels, one TEXT per dimension, implemented in
+// kernel_amd64.s: two ymm accumulators, eight distances per indirect
+// call, every lane bit-identical to Dist2Flat. The point headers are
+// loaded from ps inside the kernel; ps must hold at least eight slices
+// of at least d elements.
 
 //go:noescape
 func dist2Batch8Asm2(q []float64, ps [][]float64) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
@@ -85,16 +63,6 @@ func dist2Strided8Asm8(q, recs []float64, stride int) (d0, d1, d2, d3, d4, d5, d
 
 // Dispatch tables indexed by dimension. Slots outside 2..8 stay nil;
 // the selectors in kernel.go never read them.
-var asmBatch4 = [9]Dist2Batch4Func{
-	2: dist2Batch4Asm2,
-	3: dist2Batch4Asm3,
-	4: dist2Batch4Asm4,
-	5: dist2Batch4Asm5,
-	6: dist2Batch4Asm6,
-	7: dist2Batch4Asm7,
-	8: dist2Batch4Asm8,
-}
-
 var asmBatch8 = [9]Dist2Batch8Func{
 	2: dist2Batch8Asm2,
 	3: dist2Batch8Asm3,

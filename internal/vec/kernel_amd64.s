@@ -19,16 +19,20 @@
 // VMULPD+VADDPD the Go reference performs. Cross-algorithm equality
 // tests compare distances exactly, so contraction is off the table.
 //
-// Eight-lane forms keep a second accumulator (Y7) for candidates 4..7
-// so one indirect call retires eight distances, amortizing the ABI0
-// argument spill the compiler emits around assembly callees.
+// Every kernel is eight-lane: a second accumulator (Y7) holds
+// candidates 4..7, so one indirect call retires eight distances,
+// amortizing the ABI0 argument spill the compiler emits around assembly
+// callees. (Four lanes per call did not: a four-lane form lost to the
+// unrolled Go kernel, which therefore serves the asm tier's four-point
+// calls.)
 //
 // Register use stays within AX,BX,CX,DX,SI,DI,R8..R11 and Y0..Y7 — no
 // callee-special registers (BP, R14) are touched.
 
-// STEP4 advances the four-lane accumulator Y3 by dimension i.
-// Pointers: q=AX, lanes 0..3 = BX,CX,DX,SI.
-#define STEP4(i) \
+// STEP8 advances both accumulators (Y3 lanes 0..3, Y7 lanes 4..7) by
+// dimension i. Pointers: q=AX, lanes 0..3 = BX,CX,DX,SI, lanes 4..7 =
+// DI,R8,R9,R10. The broadcast of q[i] is shared across both halves.
+#define STEP8(i) \
 	VBROADCASTSD ((i)*8)(AX), Y0; \
 	VMOVSD ((i)*8)(BX), X1; \
 	VMOVHPD ((i)*8)(CX), X1, X1; \
@@ -37,13 +41,7 @@
 	VINSERTF128 $1, X2, Y1, Y1; \
 	VSUBPD Y1, Y0, Y2; \
 	VMULPD Y2, Y2, Y2; \
-	VADDPD Y2, Y3, Y3
-
-// STEP8 advances both accumulators (Y3 lanes 0..3, Y7 lanes 4..7) by
-// dimension i. Additional pointers: lanes 4..7 = DI,R8,R9,R10. The
-// broadcast of q[i] is shared across both halves.
-#define STEP8(i) \
-	STEP4(i); \
+	VADDPD Y2, Y3, Y3; \
 	VMOVSD ((i)*8)(DI), X5; \
 	VMOVHPD ((i)*8)(R8), X5, X5; \
 	VMOVSD ((i)*8)(R9), X6; \
@@ -52,23 +50,6 @@
 	VSUBPD Y5, Y0, Y6; \
 	VMULPD Y6, Y6, Y6; \
 	VADDPD Y6, Y7, Y7
-
-#define BATCH4_HEAD \
-	MOVQ q_base+0(FP), AX; \
-	MOVQ a_base+24(FP), BX; \
-	MOVQ b_base+48(FP), CX; \
-	MOVQ c_base+72(FP), DX; \
-	MOVQ d_base+96(FP), SI; \
-	VXORPD Y3, Y3, Y3
-
-#define BATCH4_TAIL \
-	VMOVSD X3, da+120(FP); \
-	VMOVHPD X3, db+128(FP); \
-	VEXTRACTF128 $1, Y3, X4; \
-	VMOVSD X4, dc+136(FP); \
-	VMOVHPD X4, dd+144(FP); \
-	VZEROUPPER; \
-	RET
 
 // BATCH8_HEAD pulls the eight point data pointers out of ps's backing
 // array of slice headers (24 bytes apart, base word first) so the call
@@ -132,76 +113,6 @@
 	VMOVHPD X4, d7+112(FP); \
 	VZEROUPPER; \
 	RET
-
-// func dist2Batch4Asm2(q, a, b, c, d []float64) (da, db, dc, dd float64)
-TEXT ·dist2Batch4Asm2(SB), NOSPLIT, $0-152
-	BATCH4_HEAD
-	STEP4(0)
-	STEP4(1)
-	BATCH4_TAIL
-
-// func dist2Batch4Asm3(q, a, b, c, d []float64) (da, db, dc, dd float64)
-TEXT ·dist2Batch4Asm3(SB), NOSPLIT, $0-152
-	BATCH4_HEAD
-	STEP4(0)
-	STEP4(1)
-	STEP4(2)
-	BATCH4_TAIL
-
-// func dist2Batch4Asm4(q, a, b, c, d []float64) (da, db, dc, dd float64)
-TEXT ·dist2Batch4Asm4(SB), NOSPLIT, $0-152
-	BATCH4_HEAD
-	STEP4(0)
-	STEP4(1)
-	STEP4(2)
-	STEP4(3)
-	BATCH4_TAIL
-
-// func dist2Batch4Asm5(q, a, b, c, d []float64) (da, db, dc, dd float64)
-TEXT ·dist2Batch4Asm5(SB), NOSPLIT, $0-152
-	BATCH4_HEAD
-	STEP4(0)
-	STEP4(1)
-	STEP4(2)
-	STEP4(3)
-	STEP4(4)
-	BATCH4_TAIL
-
-// func dist2Batch4Asm6(q, a, b, c, d []float64) (da, db, dc, dd float64)
-TEXT ·dist2Batch4Asm6(SB), NOSPLIT, $0-152
-	BATCH4_HEAD
-	STEP4(0)
-	STEP4(1)
-	STEP4(2)
-	STEP4(3)
-	STEP4(4)
-	STEP4(5)
-	BATCH4_TAIL
-
-// func dist2Batch4Asm7(q, a, b, c, d []float64) (da, db, dc, dd float64)
-TEXT ·dist2Batch4Asm7(SB), NOSPLIT, $0-152
-	BATCH4_HEAD
-	STEP4(0)
-	STEP4(1)
-	STEP4(2)
-	STEP4(3)
-	STEP4(4)
-	STEP4(5)
-	STEP4(6)
-	BATCH4_TAIL
-
-// func dist2Batch4Asm8(q, a, b, c, d []float64) (da, db, dc, dd float64)
-TEXT ·dist2Batch4Asm8(SB), NOSPLIT, $0-152
-	BATCH4_HEAD
-	STEP4(0)
-	STEP4(1)
-	STEP4(2)
-	STEP4(3)
-	STEP4(4)
-	STEP4(5)
-	STEP4(6)
-	STEP4(7)
-	BATCH4_TAIL
 
 // func dist2Batch8Asm2(q []float64, ps [][]float64) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
 TEXT ·dist2Batch8Asm2(SB), NOSPLIT, $0-112

@@ -32,40 +32,6 @@ func bitsEq(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// TestAsmBatch4BitIdentity runs every four-lane assembly kernel against
-// the generic left-to-right reference over the adversarial table,
-// checking exact bit patterns lane by lane and in both orientations.
-func TestAsmBatch4BitIdentity(t *testing.T) {
-	if !AsmSupported() {
-		t.Skip("assembly kernels not available on this build/CPU")
-	}
-	for d := 2; d <= 8; d++ {
-		kern := asmBatch4[d]
-		if kern == nil {
-			t.Fatalf("d=%d: asmBatch4 entry missing", d)
-		}
-		cases := kernelCases(d)
-		for i := 0; i+4 < len(cases); i++ {
-			q := cases[i][0]
-			a, b, c, dd := cases[i+1][0], cases[i+2][1], cases[i+3][0], cases[i+4][1]
-			la, lb, lc, ld := kern(q, a, b, c, dd)
-			for lane, pair := range [][2]float64{
-				{la, Dist2Flat(q, a)}, {lb, Dist2Flat(q, b)},
-				{lc, Dist2Flat(q, c)}, {ld, Dist2Flat(q, dd)},
-			} {
-				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
-					t.Fatalf("d=%d case %d lane %d: asm batch4 %v (bits %x), Dist2Flat %v (bits %x)",
-						d, i, lane, pair[0], math.Float64bits(pair[0]), pair[1], math.Float64bits(pair[1]))
-				}
-			}
-			ra, _, _, _ := kern(a, q, q, q, q)
-			if math.Float64bits(ra) != math.Float64bits(Dist2Flat(q, a)) {
-				t.Fatalf("d=%d case %d: asm batch4 orientation asymmetry", d, i)
-			}
-		}
-	}
-}
-
 // TestAsmBatch8BitIdentity checks all eight lanes of the two-register
 // assembly kernels against Dist2Flat.
 func TestAsmBatch8BitIdentity(t *testing.T) {
@@ -140,8 +106,8 @@ func TestAsmStrided8BitIdentity(t *testing.T) {
 
 // TestTierDispatch pins the dispatch-priority table: which concrete
 // function each selector serves under each tier, that the single-pair
-// forms stay unrolled under asm, and that the 8-lane selectors are nil
-// everywhere the assembly bodies don't exist.
+// and four-point forms stay unrolled under asm, and that the 8-lane
+// selectors are nil everywhere the assembly bodies don't exist.
 func TestTierDispatch(t *testing.T) {
 	prev := ActiveTier()
 	defer SetActiveTier(prev)
@@ -184,10 +150,10 @@ func TestTierDispatch(t *testing.T) {
 	if !fnEq(Dist2Kernel(4), dist2Dim4) || !fnEq(DotKernel(4), dotDim4) {
 		t.Fatal("TierAsm: single-pair selectors must stay on the unrolled bodies")
 	}
+	if !fnEq(Dist2Batch4Kernel(2), dist2Batch4Dim2) || !fnEq(Dist2Batch4Kernel(8), dist2Batch4Dim8) {
+		t.Fatal("TierAsm: batch4 selector must stay on the unrolled bodies")
+	}
 	for d := 2; d <= 8; d++ {
-		if !fnEq(Dist2Batch4Kernel(d), asmBatch4[d]) {
-			t.Fatalf("TierAsm d=%d: batch4 selector must serve the asm body", d)
-		}
 		if Dist2Batch8Kernel(d) == nil || Dist2Strided8Kernel(d) == nil {
 			t.Fatalf("TierAsm d=%d: 8-lane selectors must be non-nil", d)
 		}

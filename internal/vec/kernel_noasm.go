@@ -11,7 +11,6 @@ var asmSupported = false
 // unreachable), and the batch-8 selectors return nil for every
 // dimension, pushing callers onto the batch-4 path.
 var (
-	asmBatch4   [9]Dist2Batch4Func
 	asmBatch8   [9]Dist2Batch8Func
 	asmStrided8 [9]Dist2Strided8Func
 )

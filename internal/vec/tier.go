@@ -8,7 +8,7 @@ import "os"
 //
 //	generic  — the flat bounds-check-hoisted loops (Dist2Flat & co).
 //	unrolled — dimension-specialized straight-line Go (PR 6).
-//	asm      — hand-written AVX2 assembly batch forms (amd64 only).
+//	asm      — hand-written AVX2 assembly eight-lane batch forms (amd64 only).
 //
 // Priority when nothing is forced is asm > unrolled > generic: the
 // highest tier the build and the CPU support wins. The KNN_KERNELS
@@ -31,7 +31,7 @@ const (
 	// TierUnrolled serves the dimension-specialized Go bodies.
 	TierUnrolled
 	// TierAsm serves the AVX2 assembly batch kernels where they exist
-	// (batch forms, d=2..8) and the unrolled bodies elsewhere.
+	// (eight-lane forms, d=2..8) and the unrolled bodies elsewhere.
 	TierAsm
 )
 

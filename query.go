@@ -21,7 +21,8 @@ import (
 //
 // Queries are served from a frozen flat-array layout (children-adjacent
 // nodes, CSR-packed leaf ball ids, pre-squared radii) built once at
-// construction; the pointer tree is kept for statistics and validation.
+// construction — the repository's only covering-ball query engine; the
+// built tree is kept for its statistics and the invariant auditor.
 // For query-heavy workloads use CoveringBallsBatch or a Batcher, which
 // fan batches across the worker pool and reuse result arenas so
 // steady-state serving performs zero allocations per batch.
@@ -217,7 +218,7 @@ func (bt *Batcher) Run(queries [][]float64) error {
 }
 
 // RunClosed is Run with closed-ball membership (a point on a ball's
-// boundary counts as covered — Tree.QueryClosed semantics). The serving
+// boundary counts as covered — Frozen.CoveringClosed semantics). The serving
 // front end maps the wire format's closed flag here.
 func (bt *Batcher) RunClosed(queries [][]float64) error {
 	for i, q := range queries {

@@ -10,8 +10,8 @@ import (
 )
 
 // runFlight is the -flight serve loop: build the Section-3 query
-// structure, attach the full diagnosis pipeline (serve observer,
-// wide-event journal, flight recorder with a per-batch latency SLO),
+// structure, attach the full diagnosis pipeline (serve observer with
+// its wide-event journal, flight recorder with a per-batch latency SLO),
 // and serve batches while evaluating the burn rate between Runs. A
 // KNN_CHAOS stall profile inflates batch latency through the Batcher's
 // serving chaos seam, so the flight-smoke CI job can trip the SLO
@@ -47,8 +47,6 @@ func runFlight(dir string, n, d, k int, seed uint64, workers, queriesPerBatch, b
 
 	obsv := sepdc.NewServeObserver("flight", sepdc.ServeObserverConfig{SampleEvery: 4})
 	defer obsv.Close()
-	jr := sepdc.NewQueryJournal("flight", sepdc.QueryJournalConfig{})
-	defer jr.Close()
 	fr, err := sepdc.NewFlightRecorder(sepdc.FlightConfig{
 		Dir:              dir,
 		LatencyObjective: latency,
@@ -63,8 +61,7 @@ func runFlight(dir string, n, d, k int, seed uint64, workers, queriesPerBatch, b
 
 	bt := qs.NewBatcher(workers)
 	bt.Observe(obsv)
-	bt.Journal(jr)
-	if err := fr.WatchBatcher("flight_latency", bt, jr, obsv); err != nil {
+	if err := fr.WatchBatcher("flight_latency", bt, obsv); err != nil {
 		return err
 	}
 
@@ -86,7 +83,7 @@ func runFlight(dir string, n, d, k int, seed uint64, workers, queriesPerBatch, b
 	fr.Close() // wait for async captures before reporting
 
 	st := bt.Stats()
-	snap := jr.Snapshot()
+	snap := obsv.Events()
 	fmt.Printf("served:       %d queries in %d batches\n", st.Queries, st.Batches)
 	fmt.Printf("journal:      %d events published, %d retained, %d dropped\n",
 		snap.Published, len(snap.Events), snap.Dropped)

@@ -250,7 +250,6 @@ func serveRNN(points [][]float64, k int, seed uint64, n int) error {
 func runAudit(n, d, k int, seed uint64, workers int) error {
 	gens := []pointgen.Dist{pointgen.UniformBall, pointgen.JitteredGrid, pointgen.Clustered}
 	obsv := sepdc.NewServeObserver("audit", sepdc.ServeObserverConfig{SampleEvery: 4})
-	jr := sepdc.NewQueryJournal("audit", sepdc.QueryJournalConfig{})
 	failed := 0
 	var lastBatcher *sepdc.Batcher
 	for _, gen := range gens {
@@ -274,7 +273,6 @@ func runAudit(n, d, k int, seed uint64, workers int) error {
 		}
 		bt := qs.NewBatcher(workers)
 		bt.Observe(obsv)
-		bt.Journal(jr)
 		lastBatcher = bt
 		if err := bt.Run(probes); err != nil {
 			return fmt.Errorf("%s: %w", gen, err)

@@ -48,8 +48,8 @@ type KernelResult struct {
 // leaf scans), both through the batch engine on one strand so the
 // numbers isolate layout + kernels rather than scheduling. Descent and
 // scan phase means come from one extra non-timed instrumented pass per
-// mode (ServeRecorder timing every query), phase-split exactly like the
-// production telemetry.
+// mode (a serving journal timing every query), phase-split exactly like
+// the production telemetry.
 type LayoutResult struct {
 	D             int     `json:"d"`
 	N             int     `json:"n"`
@@ -247,7 +247,7 @@ func runKernelBench(dims []int) []KernelResult {
 	return out
 }
 
-// phaseMeans runs instrumented passes (recorder timing every query) and
+// phaseMeans runs instrumented passes (journal timing every query) and
 // returns the best mean descent and scan nanoseconds per query — the
 // minimum over five passes, the same noise-robust estimator as the
 // timed loops (five rather than three because the phase means feed the
@@ -256,11 +256,11 @@ func runKernelBench(dims []int) []KernelResult {
 func phaseMeans(b *septree.Batch, queries [][]float64) (descent, scan float64) {
 	descent, scan = -1, -1
 	for pass := 0; pass < 5; pass++ {
-		rec := obs.NewServeRecorder(obs.ServeConfig{Every: true}, b.Workers())
-		b.Observe(rec)
+		j := obs.NewJournal(obs.JournalConfig{SampleEvery: 1}, b.Workers())
+		b.Observe(j)
 		b.Run(queries)
 		b.Observe(nil)
-		snap := rec.Snapshot()
+		snap := j.ServeSnapshot()
 		if snap.Descent.Count > 0 {
 			if m := float64(snap.Descent.Sum) / float64(snap.Descent.Count); descent < 0 || m < descent {
 				descent = m

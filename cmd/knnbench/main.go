@@ -211,7 +211,10 @@ func remeasureObs(path string, queries, queryIters int) error {
 		return fmt.Errorf("journal bench: %w", err)
 	}
 	return mergeSections(path, map[string]any{"obs_overhead": or, "journal": jb},
-		"obs_overhead+journal remeasured via -only obs (other sections predate it)")
+		"obs_overhead+journal remeasured via -only obs (other sections predate it); "+
+			"obs_overhead modes = nil / observed (one serving journal at the production defaults) / "+
+			"traced (observed plus a trace context on every query, every 16th request sampled): "+
+			"traced_overhead_pct is the whole serving telemetry stack over nil, traced_vs_obs_pct the tracing layer alone")
 }
 
 // remeasureKernels re-runs only the dims-driven sections — kernels and
@@ -327,9 +330,10 @@ func main() {
 			"passes taken round-robin across modes (interleaved minimum: noise-robust on " +
 			"shared hosts and immune to multi-second skew, same work per pass in every mode); " +
 			"obs_overhead = the same interleaved-minimum protocol comparing a nil-observer " +
-			"batch engine against one feeding a ServeRecorder at the production sampling " +
-			"default and one additionally publishing every query to the wide-event journal, " +
-			"on the largest query cells (acceptance budget: <=5% throughput, 0 allocs); " +
+			"batch engine against one observed by a serving journal at the production " +
+			"defaults (one wide event per query, 1 in 16 timed) and one additionally traced " +
+			"(every query carrying a trace context, every 16th request sampled), on the " +
+			"largest query cells (0 allocs per pass); " +
 			"journal = drain throughput with a concurrent consumer and ring-overwrite rate " +
 			"with none, over a deliberately small 1024-event ring; " +
 			"kernels = per-dimension distance-kernel micro-bench (generic fallback vs unrolled vs " +

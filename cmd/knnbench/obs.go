@@ -15,17 +15,17 @@ import (
 
 // ObsOverhead is one serving-telemetry overhead measurement: the same
 // batch engine over the same frozen structure and query stream, once
-// with no observer attached, once with a ServeRecorder sampling at the
-// production default (1 in 16 queries fully timed), once with the
-// recorder AND a wide-event journal publishing every query, and once
-// fully traced on top of that — every query carrying a request trace
-// context through RunTraced, with every 16th request sampled (the
-// knnload -trace-every default). Client-sampled queries take the timed
-// phase-split route but record only their exemplar and journal timing
-// (RecordExemplar), so the traced mode's recorder aggregates are
-// identical to the journaled mode's; the traced_vs_jour_pct delta is
-// the cost of the tracing layer itself. The acceptance budget is <= 5%
-// on that delta and zero allocations per pass.
+// with no observer attached, once observed — a serving journal at the
+// production defaults (1 in 16 queries fully timed, 4096-event rings)
+// publishing one wide event per query and folding the timed ones into
+// its histograms — and once fully traced on top of that: every query
+// carrying a request trace context through RunTraced, with every 16th
+// request sampled (the knnload -trace-every default). Client-sampled
+// queries take the timed phase-split route but are marked Forced and
+// feed only the exemplars, so the traced mode's aggregates match the
+// observed mode's; traced_vs_obs_pct is the cost of the tracing layer
+// itself. traced_overhead_pct is the whole serving telemetry stack over
+// nil, with zero allocations per pass.
 type ObsOverhead struct {
 	N                int     `json:"n"`
 	D                int     `json:"d"`
@@ -35,32 +35,23 @@ type ObsOverhead struct {
 	Iterations       int     `json:"iterations"`
 	SampleEvery      int     `json:"sample_every"`
 	NilNsPerQuery    int64   `json:"nil_ns_per_query"`
-	ObsNsPerQuery    int64   `json:"obs_ns_per_query"`
-	JourNsPerQuery   int64   `json:"jour_ns_per_query"`   // observer + journal attached
-	TracedNsPerQuery int64   `json:"traced_ns_per_query"` // observer + journal + per-query trace contexts
+	ObsNsPerQuery    int64   `json:"obs_ns_per_query"`    // observer attached
+	TracedNsPerQuery int64   `json:"traced_ns_per_query"` // observer + per-query trace contexts
 	NilQPS           float64 `json:"nil_qps"`
 	ObsQPS           float64 `json:"obs_qps"`
-	JourQPS          float64 `json:"jour_qps"`
 	TracedQPS        float64 `json:"traced_qps"`
-	OverheadPct      float64 `json:"overhead_pct"`        // observer only, vs nil
-	JourOverhead     float64 `json:"jour_overhead_pct"`   // observer + journal, vs nil
-	TracedOverhead   float64 `json:"traced_overhead_pct"` // observer + journal + traces, vs nil
-	// TracedVsJour is the increment tracing itself costs over the
-	// already-instrumented (observer + journal) path — the column the
-	// <=5% tracing budget is judged on. The vs-nil columns compound the
-	// budgets of the observer and journal layers, which were accepted
-	// separately.
-	TracedVsJour float64 `json:"traced_vs_jour_pct"`
-	NilAllocs    int64   `json:"nil_allocs_per_pass"`
-	ObsAllocs    int64   `json:"obs_allocs_per_pass"`
-	JourAllocs   int64   `json:"jour_allocs_per_pass"`
-	TracedAllocs int64   `json:"traced_allocs_per_pass"`
-	SampledTotal int64   `json:"sampled_total"` // timed queries absorbed by the recorder
+	OverheadPct      float64 `json:"overhead_pct"`        // observer, vs nil
+	TracedOverhead   float64 `json:"traced_overhead_pct"` // observer + traces, vs nil: the whole stack
+	TracedVsObs      float64 `json:"traced_vs_obs_pct"`   // tracing alone, over the observed path
+	NilAllocs        int64   `json:"nil_allocs_per_pass"`
+	ObsAllocs        int64   `json:"obs_allocs_per_pass"`
+	TracedAllocs     int64   `json:"traced_allocs_per_pass"`
+	SampledTotal     int64   `json:"sampled_total"` // tick-sampled queries the observed mode absorbed
 }
 
 // measureObsOverhead times nil-observer vs instrumented serving with the
 // same interleaved-minimum protocol as the query section: passes
-// alternate nil, instrumented, nil, … so both modes sample the same
+// alternate nil, observed, traced, nil, … so every mode samples the same
 // wall-clock windows and the minimum discards host noise.
 func measureObsOverhead(c queryCfg, numQueries, iters int) (ObsOverhead, error) {
 	g := xrand.New(uint64(c.n*31 + c.d))
@@ -84,19 +75,11 @@ func measureObsOverhead(c queryCfg, numQueries, iters int) (ObsOverhead, error) 
 	}
 
 	plain := septree.NewBatch(frozen, 1)
-	rec := obs.NewServeRecorder(obs.ServeConfig{}, 1) // production defaults: 1 in 16 sampled
-	inst := septree.NewBatch(frozen, 1)
-	inst.Observe(rec)
-	rec2 := obs.NewServeRecorder(obs.ServeConfig{}, 1)
-	jour := obs.NewJournal(obs.JournalConfig{}, 1) // production default ring
-	journaled := septree.NewBatch(frozen, 1)
-	journaled.Observe(rec2)
-	journaled.Journal(jour)
-	rec3 := obs.NewServeRecorder(obs.ServeConfig{}, 1)
-	jour3 := obs.NewJournal(obs.JournalConfig{}, 1)
+	jour := obs.NewJournal(obs.JournalConfig{}, 1) // production defaults
+	observed := septree.NewBatch(frozen, 1)
+	observed.Observe(jour)
 	tracedB := septree.NewBatch(frozen, 1)
-	tracedB.Observe(rec3)
-	tracedB.Journal(jour3)
+	tracedB.Observe(obs.NewJournal(obs.JournalConfig{}, 1))
 	// Every query carries a trace context, grouped 16 queries to a
 	// "request" like a production batch; every 16th request is sampled
 	// (the knnload -trace-every default), forcing its queries onto the
@@ -115,10 +98,10 @@ func measureObsOverhead(c queryCfg, numQueries, iters int) (ObsOverhead, error) 
 		best   time.Duration
 		allocs uint64
 	}
-	modes := []*modeRun{{b: plain}, {b: inst}, {b: journaled}, {b: tracedB, traces: traces}}
+	modes := []*modeRun{{b: plain}, {b: observed}, {b: tracedB, traces: traces}}
 	for _, m := range modes {
 		m.best = time.Duration(1<<63 - 1)
-		m.b.RunTraced(queries, m.traces) // warm arenas, recorder rings, and tail buffers
+		m.b.RunTraced(queries, m.traces) // warm arenas and rings
 	}
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -135,29 +118,27 @@ func measureObsOverhead(c queryCfg, numQueries, iters int) (ObsOverhead, error) 
 			m.allocs += after.Mallocs - before.Mallocs
 		}
 	}
-	snap := rec.Snapshot()
+	perQ := func(m *modeRun) int64 { return m.best.Nanoseconds() / int64(numQueries) }
+	qps := func(m *modeRun) float64 { return float64(numQueries) / m.best.Seconds() }
 	res := ObsOverhead{
 		N: len(pts), D: c.d, K: c.k, Procs: 1,
 		NumQueries: numQueries, Iterations: iters,
-		SampleEvery:      int(rec.SampleEvery()),
-		NilNsPerQuery:    modes[0].best.Nanoseconds() / int64(numQueries),
-		ObsNsPerQuery:    modes[1].best.Nanoseconds() / int64(numQueries),
-		JourNsPerQuery:   modes[2].best.Nanoseconds() / int64(numQueries),
-		TracedNsPerQuery: modes[3].best.Nanoseconds() / int64(numQueries),
-		NilQPS:           float64(numQueries) / modes[0].best.Seconds(),
-		ObsQPS:           float64(numQueries) / modes[1].best.Seconds(),
-		JourQPS:          float64(numQueries) / modes[2].best.Seconds(),
-		TracedQPS:        float64(numQueries) / modes[3].best.Seconds(),
+		SampleEvery:      int(jour.SampleEvery()),
+		NilNsPerQuery:    perQ(modes[0]),
+		ObsNsPerQuery:    perQ(modes[1]),
+		TracedNsPerQuery: perQ(modes[2]),
+		NilQPS:           qps(modes[0]),
+		ObsQPS:           qps(modes[1]),
+		TracedQPS:        qps(modes[2]),
 		NilAllocs:        int64(modes[0].allocs) / int64(iters),
 		ObsAllocs:        int64(modes[1].allocs) / int64(iters),
-		JourAllocs:       int64(modes[2].allocs) / int64(iters),
-		TracedAllocs:     int64(modes[3].allocs) / int64(iters),
-		SampledTotal:     snap.Sampled,
+		TracedAllocs:     int64(modes[2].allocs) / int64(iters),
+		SampledTotal:     jour.ServeSnapshot().Sampled,
 	}
-	res.OverheadPct = 100 * (float64(res.ObsNsPerQuery) - float64(res.NilNsPerQuery)) / float64(res.NilNsPerQuery)
-	res.JourOverhead = 100 * (float64(res.JourNsPerQuery) - float64(res.NilNsPerQuery)) / float64(res.NilNsPerQuery)
-	res.TracedOverhead = 100 * (float64(res.TracedNsPerQuery) - float64(res.NilNsPerQuery)) / float64(res.NilNsPerQuery)
-	res.TracedVsJour = 100 * (float64(res.TracedNsPerQuery) - float64(res.JourNsPerQuery)) / float64(res.JourNsPerQuery)
+	pct := func(x, base int64) float64 { return 100 * (float64(x) - float64(base)) / float64(base) }
+	res.OverheadPct = pct(res.ObsNsPerQuery, res.NilNsPerQuery)
+	res.TracedOverhead = pct(res.TracedNsPerQuery, res.NilNsPerQuery)
+	res.TracedVsObs = pct(res.TracedNsPerQuery, res.ObsNsPerQuery)
 	return res, nil
 }
 
@@ -174,10 +155,10 @@ func runObsBench(numQueries, iters int) ([]ObsOverhead, error) {
 		if err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(os.Stderr, "obs   n=%-6d d=%d k=%d  nil %6d ns/q  obs %6d ns/q (%+5.1f%%)  obs+journal %6d ns/q (%+5.1f%%)  traced %6d ns/q (%+5.1f%% vs nil, %+5.1f%% vs jour)  allocs nil=%d obs=%d jour=%d traced=%d\n",
+		fmt.Fprintf(os.Stderr, "obs   n=%-6d d=%d k=%d  nil %6d ns/q  observed %6d ns/q (%+5.1f%%)  traced %6d ns/q (%+5.1f%% vs nil, %+5.1f%% vs observed)  allocs nil=%d observed=%d traced=%d\n",
 			r.N, r.D, r.K, r.NilNsPerQuery, r.ObsNsPerQuery, r.OverheadPct,
-			r.JourNsPerQuery, r.JourOverhead, r.TracedNsPerQuery, r.TracedOverhead, r.TracedVsJour,
-			r.NilAllocs, r.ObsAllocs, r.JourAllocs, r.TracedAllocs)
+			r.TracedNsPerQuery, r.TracedOverhead, r.TracedVsObs,
+			r.NilAllocs, r.ObsAllocs, r.TracedAllocs)
 		all = append(all, r)
 	}
 	return all, nil
@@ -241,7 +222,7 @@ func runJournalBench(numQueries, batches int) (*JournalBench, error) {
 	// Drained leg: consumer drains as fast as it can while serving runs.
 	jour := obs.NewJournal(obs.JournalConfig{PerStrand: perStrand}, 1)
 	b := septree.NewBatch(frozen, 1)
-	b.Journal(jour)
+	b.Observe(jour)
 	b.Run(queries) // warm
 	jour.Drain()
 	stop := make(chan struct{})
@@ -279,7 +260,7 @@ func runJournalBench(numQueries, batches int) (*JournalBench, error) {
 
 	// Saturated leg: same engine, nobody drains until the end.
 	jour2 := obs.NewJournal(obs.JournalConfig{PerStrand: perStrand}, 1)
-	b.Journal(jour2)
+	b.Observe(jour2)
 	for i := 0; i < batches; i++ {
 		b.Run(queries)
 	}

@@ -51,7 +51,7 @@ func main() {
 		batch    = flag.Int("batch", 0, "coalesced queries per pass before cutover (0 = 512)")
 		sample   = flag.Int("sample", 0, "observer sampling: time 1 in N queries (0 = 16)")
 		blockW   = flag.Int("block-width", 0, "leaf-scan query-blocking width, 1..16 (0 = engine default)")
-		ringSize = flag.Int("journal-ring", 0, "wide-event journal ring capacity per strand; watch sepdc_journal_overwrite_rate (0 = 4096)")
+		ringSize = flag.Int("journal-ring", 0, "observer event-ring capacity per strand (the window, tail and exemplar views read it); watch sepdc_journal_overwrite_rate (0 = 4096)")
 		flight   = flag.String("flight", "", "flight-recorder bundle directory (empty = off)")
 		flightLa = flag.Duration("flight-latency", 0, "flight SLO per-pass latency objective (0 = 100ms)")
 	)

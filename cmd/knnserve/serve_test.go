@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"sepdc"
-	"sepdc/internal/obs"
+	"sepdc/internal/obs/promtext"
 	"sepdc/internal/serveproto"
 	"sepdc/internal/xrand"
 )
@@ -412,11 +412,9 @@ func TestServeRaceHammer(t *testing.T) {
 		defer wg.Done()
 		defer close(obsDone)
 		for i := 0; i < 200; i++ {
-			if rec := obs.LookupServe(observerName(0)); rec != nil {
-				rec.Snapshot()
-			}
-			for _, j := range srv.journals {
-				j.Snapshot()
+			for _, o := range srv.obs {
+				o.Snapshot()
+				o.Events()
 			}
 		}
 	}()
@@ -756,6 +754,61 @@ func TestServeMetricsExposed(t *testing.T) {
 	if !bytes.Contains(body, []byte("sepdc_serve_serve0_")) &&
 		!bytes.Contains(body, []byte("sepdc_serve_serve1_")) {
 		t.Fatalf("/metrics missing serve observer series:\n%.2000s", body)
+	}
+}
+
+// TestServeSwapKeepsCountersMonotone: the per-replica observers live as
+// long as the process, so a hot swap must never reset them — replica 0's
+// scraped served-query counter and latency histogram count only grow
+// across Swap, and post-swap traffic lands in the same series.
+func TestServeSwapKeepsCountersMonotone(t *testing.T) {
+	cfg := testConfig()
+	cfg.sample = 1 // time every query: the latency count moves with traffic
+	srv, ts := newTestServer(t, cfg)
+	read := func() (queries, count float64) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		exp, err := promtext.Lint(resp.Body)
+		if err != nil {
+			t.Fatalf("/metrics failed lint: %v", err)
+		}
+		q := exp.Find("sepdc_serve_serve0_queries_total")
+		c := exp.Find("sepdc_serve_serve0_latency_ns_count")
+		if len(q) != 1 || len(c) != 1 {
+			t.Fatalf("replica 0 series missing: queries=%+v count=%+v", q, c)
+		}
+		return q[0].Value, c[0].Value
+	}
+	serve := func() {
+		for i := 0; i < 4; i++ { // round-robin admission: both replicas
+			postJSON(t, ts.Client(), ts.URL, testQueries(srv, 16, uint64(70+i)), false)
+		}
+	}
+	serve()
+	q0, c0 := read()
+	if q0 == 0 || c0 == 0 {
+		t.Fatalf("replica 0 served nothing before the swap: queries=%v count=%v", q0, c0)
+	}
+	for round := 0; round < 2; round++ {
+		if _, _, err := srv.Swap(cfg.seed + uint64(500+round)); err != nil {
+			t.Fatal(err)
+		}
+		q1, c1 := read()
+		if q1 < q0 || c1 < c0 {
+			t.Fatalf("swap %d reset replica 0: queries %v -> %v, latency count %v -> %v",
+				round, q0, q1, c0, c1)
+		}
+		serve()
+		q2, c2 := read()
+		if q2 <= q1 || c2 <= c1 {
+			t.Fatalf("post-swap %d traffic missed replica 0's series: queries %v -> %v, latency count %v -> %v",
+				round, q1, q2, c1, c2)
+		}
+		q0, c0 = q2, c2
 	}
 }
 

@@ -35,7 +35,7 @@ type serverConfig struct {
 	maxBody  int64 // request body cap, bytes
 	sample   int   // observer sampling period (0 = default 16)
 	blockW   int   // leaf-scan query-blocking width (0 = engine default)
-	ringSize int   // journal ring capacity per strand (0 = default 4096)
+	ringSize int   // observer event-ring capacity per strand (0 = default 4096)
 
 	flightDir     string        // flight-recorder bundle directory ("" = off)
 	flightLatency time.Duration // per-pass latency SLO objective
@@ -69,7 +69,6 @@ type generation struct {
 	seed     uint64 // tree-build seed (answers are seed-independent)
 	qs       *sepdc.QueryStructure
 	batchers []*sepdc.Batcher
-	obs      []*sepdc.ServeObserver
 	inflight atomic.Int64 // passes currently pinned to this generation
 }
 
@@ -92,7 +91,10 @@ type server struct {
 	// in a process whose Batchers are replaced by every swap.
 	passLat obs.AtomicHist
 
-	journals []*sepdc.QueryJournal
+	// obs holds one serving observer per replica for the process
+	// lifetime: every generation's Batcher for replica i publishes into
+	// obs[i], so its counters and histograms run on across swaps.
+	obs []*sepdc.ServeObserver
 
 	// traces is the request-trace log behind /traces: every request gets
 	// a trace context (parsed from its traceparent header, else generated
@@ -122,12 +124,11 @@ type server struct {
 	opPool sync.Pool
 }
 
-// observerName returns the stable per-replica exposition name; swaps
-// re-register the same names via ReplaceServeObserver.
+// observerName returns the stable per-replica exposition name.
 func observerName(i int) string { return "serve" + strconv.Itoa(i) }
 
-// newServer generates the point set, builds generation 0, registers
-// per-replica observers and journals, and starts the coalescers.
+// newServer generates the point set, registers the per-replica
+// observers, builds generation 0, and starts the coalescers.
 func newServer(cfg serverConfig) (*server, error) {
 	cfg.defaults()
 	pts, err := pointgen.Generate(cfg.dist, cfg.n, cfg.d, xrand.New(cfg.seed))
@@ -143,9 +144,10 @@ func newServer(cfg serverConfig) (*server, error) {
 	s.passLat.Reset()
 	s.opPool.New = func() any { return newOp() }
 
-	s.journals = make([]*sepdc.QueryJournal, cfg.replicas)
-	for i := range s.journals {
-		s.journals[i] = sepdc.NewQueryJournal(observerName(i), sepdc.QueryJournalConfig{PerStrand: cfg.ringSize})
+	s.obs = make([]*sepdc.ServeObserver, cfg.replicas)
+	for i := range s.obs {
+		s.obs[i] = sepdc.NewServeObserver(observerName(i),
+			sepdc.ServeObserverConfig{SampleEvery: cfg.sample, PerStrand: cfg.ringSize})
 	}
 	s.traces = sepdc.NewTraceLog("serve", sepdc.TraceLogConfig{})
 
@@ -186,7 +188,7 @@ func (s *server) startFlight() error {
 	if err != nil {
 		return err
 	}
-	if err := fr.Watch("serve_pass", s.passLat.Snapshot, s.journals[0], nil, s.traces); err != nil {
+	if err := fr.Watch("serve_pass", s.passLat.Snapshot, s.obs[0], s.traces); err != nil {
 		return err
 	}
 	s.fr = fr
@@ -208,10 +210,10 @@ func (s *server) startFlight() error {
 	return nil
 }
 
-// buildGeneration builds one snapshot generation: query structure,
-// per-replica Batchers, and per-replica observers re-registered under
-// the stable names (ReplaceServeObserver — the previous generation's
-// deferred Close is identity-checked and cannot drop these slots).
+// buildGeneration builds one snapshot generation: the query structure
+// and per-replica Batchers attached to the process-lifetime observers.
+// A replica serves one pass at a time, so the old and new generations'
+// Batchers never publish into the same observer strand concurrently.
 func (s *server) buildGeneration(seed uint64) (*generation, error) {
 	qs, err := sepdc.NewQueryStructure(s.points, s.cfg.k, seed)
 	if err != nil {
@@ -222,18 +224,14 @@ func (s *server) buildGeneration(seed uint64) (*generation, error) {
 		seed:     seed,
 		qs:       qs,
 		batchers: make([]*sepdc.Batcher, s.cfg.replicas),
-		obs:      make([]*sepdc.ServeObserver, s.cfg.replicas),
 	}
 	s.gens.Add(1)
 	for i := 0; i < s.cfg.replicas; i++ {
-		gen.obs[i] = sepdc.ReplaceServeObserver(observerName(i),
-			sepdc.ServeObserverConfig{SampleEvery: s.cfg.sample})
 		bt := qs.NewBatcher(s.cfg.workers)
 		if s.cfg.blockW > 0 {
 			bt.SetBlockWidth(s.cfg.blockW)
 		}
-		bt.Observe(gen.obs[i])
-		bt.Journal(s.journals[i])
+		bt.Observe(s.obs[i])
 		gen.batchers[i] = bt
 	}
 	return gen, nil
@@ -241,12 +239,7 @@ func (s *server) buildGeneration(seed uint64) (*generation, error) {
 
 // releaseGeneration is the snapshot.Holder release callback: it runs
 // once, after the swap that replaced gen AND the last reader's unpin.
-// The observers' Close is the replace-safe no-op unless the server is
-// shutting down and the generation still owns its names.
 func (s *server) releaseGeneration(gen *generation) {
-	for _, o := range gen.obs {
-		o.Close()
-	}
 	obs.SetGauge(obs.GaugeKey{Name: "sepdc_serve_generations_released"},
 		"Snapshot generations fully drained and released.",
 		float64(s.swapped.Load()))
@@ -323,8 +316,8 @@ func (s *server) Close() {
 		s.fr.Close()
 	}
 	s.snap.Close()
-	for _, j := range s.journals {
-		j.Close()
+	for _, o := range s.obs {
+		o.Close()
 	}
 	s.traces.Close()
 }

@@ -14,8 +14,9 @@ import (
 // This file is the public flight-recorder knob: a declarative latency
 // SLO over a Batcher's per-batch latency histogram, multi-window
 // burn-rate evaluation, and automatic capture of a diagnostic bundle
-// (wide-event journal, tail sampler, runtime/trace segment, CPU
-// profile, runtime/metrics snapshot) the moment the burn rate trips.
+// (wide-event journal and the serving views derived from it,
+// runtime/trace segment, CPU profile, runtime/metrics snapshot) the
+// moment the burn rate trips.
 // cmd/knn -flight wires it to a flag; cmd/knnserve will consume it
 // wholesale.
 
@@ -75,14 +76,15 @@ func NewFlightRecorder(cfg FlightConfig) (*FlightRecorder, error) {
 
 // WatchBatcher binds the recorder to one Batcher's telemetry: the SLO
 // objective reads the Batcher's per-batch latency histogram, and a
-// capture bundles the given journal and observer (either may be nil —
-// the bundle just omits that evidence). name labels the sepdc_slo_*
+// capture bundles the given observer's events (journal.jsonl) and the
+// serving snapshot derived from the same read (tail.json). o may be nil
+// — the bundle just omits that evidence. name labels the sepdc_slo_*
 // gauge series. Call once, before Evaluate.
-func (fr *FlightRecorder) WatchBatcher(name string, bt *Batcher, qj *QueryJournal, o *ServeObserver) error {
+func (fr *FlightRecorder) WatchBatcher(name string, bt *Batcher, o *ServeObserver) error {
 	if fr == nil || bt == nil {
 		return fmt.Errorf("sepdc: WatchBatcher needs a recorder and a Batcher")
 	}
-	return fr.Watch(name, func() obs.Hist { return bt.b.Stats().Latency }, qj, o, nil)
+	return fr.Watch(name, func() obs.Hist { return bt.b.Stats().Latency }, o, nil)
 }
 
 // Watch is the source-agnostic form of WatchBatcher: latency supplies
@@ -92,12 +94,11 @@ func (fr *FlightRecorder) WatchBatcher(name string, bt *Batcher, qj *QueryJourna
 // histogram here instead of binding the recorder to one Batcher's
 // lifetime. The read contract is the source's own: an AtomicHist-backed
 // source may be evaluated concurrently with serving, a Batcher-backed
-// one only between Runs. tl, when non-nil, folds the trace log's
-// retained request traces (slowest tail first) into each bundle as
-// traces.jsonl — a burn-rate trip freezes the end-to-end spans of the
-// slowest complete requests alongside the journal evidence. Call once,
-// before Evaluate.
-func (fr *FlightRecorder) Watch(name string, latency func() obs.Hist, qj *QueryJournal, o *ServeObserver, tl *TraceLog) error {
+// one only between Runs. tl, when non-nil, folds the trace log's ring
+// (slowest first) into each bundle as traces.jsonl — a burn-rate trip
+// freezes the end-to-end spans of the requests around it alongside the
+// journal evidence. Call once, before Evaluate.
+func (fr *FlightRecorder) Watch(name string, latency func() obs.Hist, o *ServeObserver, tl *TraceLog) error {
 	if fr == nil || latency == nil {
 		return fmt.Errorf("sepdc: Watch needs a recorder and a latency source")
 	}
@@ -108,14 +109,11 @@ func (fr *FlightRecorder) Watch(name string, latency func() obs.Hist, qj *QueryJ
 	src := flight.Sources{
 		Runtime: fr.rt.Snapshot,
 	}
-	if qj != nil {
-		src.Journal = qj.j
-	}
 	if o != nil {
-		src.Serve = o.rec
+		src.Journal = o.j
 	}
 	if tl != nil {
-		src.Traces = tl.t.Retained
+		src.Traces = tl.t.Slowest
 	}
 	rec := flight.New(flight.Config{
 		Dir:      fr.cfg.Dir,

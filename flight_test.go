@@ -13,13 +13,13 @@ import (
 
 // TestNewServeObserverDeterministicOnTakenName: the re-registration
 // footgun fix — a second NewServeObserver under a live name shares the
-// incumbent's recorder instead of silently stealing its exposition slot.
+// incumbent's rings instead of silently stealing its exposition slot.
 func TestNewServeObserverDeterministicOnTakenName(t *testing.T) {
 	a := NewServeObserver("dedup-probe", ServeObserverConfig{SampleEvery: 1})
 	defer a.Close()
 	b := NewServeObserver("dedup-probe", ServeObserverConfig{SampleEvery: 64})
-	if a.rec != b.rec {
-		t.Fatal("second NewServeObserver on a taken name did not return the incumbent's recorder")
+	if a.j != b.j {
+		t.Fatal("second NewServeObserver on a taken name did not return the incumbent's rings")
 	}
 	// Traffic through either handle lands in the one registration.
 	points := genPoints(400, 2, 3)
@@ -35,78 +35,63 @@ func TestNewServeObserverDeterministicOnTakenName(t *testing.T) {
 	if snap := a.Snapshot(); snap.Queries != 50 {
 		t.Fatalf("incumbent saw %d queries, want 50", snap.Queries)
 	}
-
-	// ReplaceServeObserver is the explicit swap: fresh recorder, old
-	// handle keeps its (now unregistered) telemetry.
-	c := ReplaceServeObserver("dedup-probe", ServeObserverConfig{SampleEvery: 1})
-	defer c.Close()
-	if c.rec == a.rec {
-		t.Fatal("ReplaceServeObserver reused the incumbent's recorder")
-	}
-	if snap := a.Snapshot(); snap.Queries != 50 {
-		t.Fatalf("replaced observer lost its history: %d", snap.Queries)
-	}
 }
 
-// TestQueryJournalEndToEnd: the public journal records every served
-// query and round-trips through Snapshot/Drain with the documented
-// semantics.
+// TestQueryJournalEndToEnd: the observer's journal records every served
+// query and round-trips through Events/Drain with the documented
+// semantics; its Snapshot counts the same queries.
 func TestQueryJournalEndToEnd(t *testing.T) {
 	points := genPoints(800, 2, 7)
 	qs, err := NewQueryStructure(points, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qj := NewQueryJournal("journal-e2e", QueryJournalConfig{PerStrand: 1024})
-	defer qj.Close()
-	// Taken-name path shares the incumbent's rings.
-	if dup := NewQueryJournal("journal-e2e", QueryJournalConfig{}); dup.j != qj.j {
-		t.Fatal("repeat NewQueryJournal did not share the incumbent's rings")
-	}
+	o := NewServeObserver("journal-e2e", ServeObserverConfig{PerStrand: 1024})
+	defer o.Close()
 	bt := qs.NewBatcher(2)
-	bt.Journal(qj)
+	bt.Observe(o)
 	queries := queryPoints(points, 128, 9)
 	for i := 0; i < 2; i++ {
 		if err := bt.Run(queries); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap := qj.Snapshot()
-	if snap.Published != 256 {
-		t.Fatalf("published %d events, want 256", snap.Published)
+	events := o.Events()
+	if events.Published != 256 || len(events.Events) != 256 {
+		t.Fatalf("published %d events (%d retained), want 256", events.Published, len(events.Events))
 	}
-	if d := qj.Drain(); len(d.Events) != 256 || d.Dropped != 0 {
+	if snap := o.Snapshot(); snap.Queries != 256 {
+		t.Fatalf("snapshot counts %d queries, want 256", snap.Queries)
+	}
+	if d := o.Drain(); len(d.Events) != 256 || d.Dropped != 0 {
 		t.Fatalf("drain: events=%d dropped=%d", len(d.Events), d.Dropped)
 	}
-	if d := qj.Drain(); len(d.Events) != 0 {
+	if d := o.Drain(); len(d.Events) != 0 {
 		t.Fatalf("second drain returned %d events", len(d.Events))
 	}
 	// Detach stops emission.
-	bt.Journal(nil)
+	bt.Observe(nil)
 	if err := bt.Run(queries); err != nil {
 		t.Fatal(err)
 	}
-	if d := qj.Snapshot(); d.Published != 256 {
+	if d := o.Events(); d.Published != 256 {
 		t.Fatalf("detached Batcher still published: %d", d.Published)
 	}
 }
 
 // TestBatcherJournaledZeroAllocSteadyState: the acceptance criterion at
-// the public layer — observer AND journal attached, warm Runs allocate
-// nothing.
+// the public layer — observer attached, every query journaled, warm
+// Runs allocate nothing.
 func TestBatcherJournaledZeroAllocSteadyState(t *testing.T) {
 	points := genPoints(1500, 2, 11)
 	qs, err := NewQueryStructure(points, 3, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := NewServeObserver("journal-alloc-probe", ServeObserverConfig{SampleEvery: 4})
+	o := NewServeObserver("journal-alloc-probe", ServeObserverConfig{SampleEvery: 4, PerStrand: 1024})
 	defer o.Close()
-	qj := NewQueryJournal("journal-alloc-probe", QueryJournalConfig{PerStrand: 1024})
-	defer qj.Close()
 	bt := qs.NewBatcher(2)
 	bt.Observe(o)
-	bt.Journal(qj)
 	queries := queryPoints(points, 256, 13)
 	for warm := 0; warm < 3; warm++ {
 		if err := bt.Run(queries); err != nil {
@@ -121,7 +106,7 @@ func TestBatcherJournaledZeroAllocSteadyState(t *testing.T) {
 // TestFlightRecorderChaosStallTripsAndCaptures is the tentpole
 // integration test: a KNN_CHAOS stall profile inflates per-batch
 // latency, the SLO burn rate trips on both windows, and the recorder
-// captures a complete bundle — journal + tail sampler + runtime trace +
+// captures a complete bundle — journal + derived tail + runtime trace +
 // CPU profile — that CheckFlightBundle accepts.
 func TestFlightRecorderChaosStallTripsAndCaptures(t *testing.T) {
 	// The healthy-baseline phase below depends on chaos being off; pin
@@ -149,21 +134,18 @@ func TestFlightRecorderChaosStallTripsAndCaptures(t *testing.T) {
 	}
 	defer fr.Close()
 
-	o := NewServeObserver("flight-e2e", ServeObserverConfig{SampleEvery: 4, Tail: 4})
+	o := NewServeObserver("flight-e2e", ServeObserverConfig{SampleEvery: 4, PerStrand: 4096})
 	defer o.Close()
-	qj := NewQueryJournal("flight-e2e", QueryJournalConfig{PerStrand: 4096})
-	defer qj.Close()
 
 	queries := queryPoints(points, 64, 19)
 	mkBatcher := func() *Batcher {
 		bt := qs.NewBatcher(1)
 		bt.Observe(o)
-		bt.Journal(qj)
 		return bt
 	}
 
 	bt := mkBatcher()
-	if err := fr.WatchBatcher("latency", bt, qj, o); err != nil {
+	if err := fr.WatchBatcher("latency", bt, o); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
@@ -185,7 +167,7 @@ func TestFlightRecorderChaosStallTripsAndCaptures(t *testing.T) {
 	t.Setenv("KNN_CHAOS", "stall=3ms")
 	stalled := mkBatcher()
 	t.Setenv("KNN_CHAOS", "")
-	if err := fr.WatchBatcher("stalled", stalled, qj, o); err == nil {
+	if err := fr.WatchBatcher("stalled", stalled, o); err == nil {
 		t.Fatal("second WatchBatcher accepted")
 	}
 
@@ -199,7 +181,7 @@ func TestFlightRecorderChaosStallTripsAndCaptures(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fr2.Close()
-	if err := fr2.WatchBatcher("latency-stalled", stalled, qj, o); err != nil {
+	if err := fr2.WatchBatcher("latency-stalled", stalled, o); err != nil {
 		t.Fatal(err)
 	}
 	tripped := false

@@ -1,6 +1,6 @@
 // Package flight captures diagnostic bundles at the moment an SLO burn
-// rate trips: the wide-event journal rings, the serve recorder's tail
-// sampler, a bounded runtime/trace segment, and a CPU profile delta,
+// rate trips: the wide-event journal rings and the serving views derived
+// from them, a bounded runtime/trace segment, and a CPU profile delta,
 // written atomically to a timestamped directory. The point is evidence
 // — by the time a human looks at a p999 page the interesting queries
 // are long gone from any live buffer, so the trip itself has to do the
@@ -12,11 +12,11 @@
 //	              every registered gauge (SLO burn rates, runtime
 //	              gauges, audit results), and caller extras
 //	journal.jsonl wide events, non-consuming snapshot, (batch, query) order
-//	tail.json     ServeSnapshot: histograms, window quantiles, slowest
-//	              queries with their descent paths
-//	traces.jsonl  request traces (slowest-tail first, then the recent
-//	              ring) — the end-to-end spans of the requests worth
-//	              keeping at the moment of the trip
+//	tail.json     ServeSnapshot derived from the same ring read:
+//	              histograms, window quantiles, and the slowest queries
+//	              as journal events (each one a line of journal.jsonl)
+//	traces.jsonl  request traces, the recent ring sorted slowest first —
+//	              the end-to-end spans around the moment of the trip
 //	runtime.json  runtime/metrics gauge values at capture time
 //	trace.out     runtime/trace segment over the capture window
 //	cpu.pprof     CPU profile over the same window
@@ -78,14 +78,13 @@ func (c Config) cooldown() time.Duration {
 // Sources are the telemetry producers a capture snapshots. Any field
 // may be nil; the bundle simply omits that evidence.
 type Sources struct {
-	// Journal supplies journal.jsonl (non-consuming snapshot).
+	// Journal supplies journal.jsonl and tail.json, both from one
+	// non-consuming ring read.
 	Journal *obs.Journal
-	// Serve supplies tail.json.
-	Serve *obs.ServeRecorder
 	// Runtime supplies runtime.json (runtimeobs.Sampler.Snapshot fits).
 	Runtime func() map[string]float64
-	// Traces supplies traces.jsonl (obs.TraceSink.Retained fits: the
-	// slowest retained requests first, then the recent ring).
+	// Traces supplies traces.jsonl (obs.TraceSink.Slowest fits: the
+	// recent ring, slowest first).
 	Traces func() []obs.RequestTrace
 	// Extra is folded into meta.json verbatim (SLO status, build info).
 	Extra func() any
@@ -202,10 +201,11 @@ func (r *Recorder) capture(reason string) (string, error) {
 		m.Errors = append(m.Errors, e.Error())
 	}
 
-	// Journal: non-consuming snapshot, so a streaming /journal?drain=1
-	// consumer and the flight recorder never race over the same events.
+	// Journal: one non-consuming read, so a streaming /journal?drain=1
+	// consumer and the flight recorder never race over the same events,
+	// and every tail.json event is also a journal.jsonl line.
 	if r.src.Journal != nil {
-		d := r.src.Journal.Snapshot()
+		d, snap := r.src.Journal.Capture()
 		m.Journal = &journalMeta{
 			Strands: d.Strands, Capacity: d.Capacity,
 			Published: d.Published, Dropped: d.Dropped, Events: len(d.Events),
@@ -221,10 +221,7 @@ func (r *Recorder) capture(reason string) (string, error) {
 		if werr != nil {
 			return "", fmt.Errorf("flight: journal.jsonl: %w", werr)
 		}
-	}
-
-	if r.src.Serve != nil {
-		if err := writeJSON(filepath.Join(tmp, "tail.json"), r.src.Serve.Snapshot()); err != nil {
+		if err := writeJSON(filepath.Join(tmp, "tail.json"), snap); err != nil {
 			return "", err
 		}
 	}

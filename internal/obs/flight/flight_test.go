@@ -19,13 +19,8 @@ func testSources() Sources {
 		{Batch: 1, Query: 2, Leaf: -1, Nodes: 3},
 	})
 	j.Strand(1).Publish([]obs.JournalEvent{{Batch: 1, Query: 1, Leaf: 5, Nodes: 4, Blocked: true}})
-	rec := obs.NewServeRecorder(obs.ServeConfig{Every: true, Tail: 2}, 1)
-	s := rec.Strand(0)
-	s.NoteQueries(3)
-	s.Record(700, 500, 4, 9, 2, []int32{0, 1, 3})
 	return Sources{
 		Journal: j,
-		Serve:   rec,
 		Runtime: func() map[string]float64 { return map[string]float64{"sepdc_runtime_goroutines": 7} },
 		Extra:   func() any { return map[string]string{"trigger": "test"} },
 	}
@@ -88,7 +83,7 @@ func TestCaptureProducesCompleteBundle(t *testing.T) {
 		}
 	}
 
-	// tail.json parses back into a ServeSnapshot with the recorded sample.
+	// tail.json parses back into a ServeSnapshot with the sampled query.
 	tl, err := os.ReadFile(filepath.Join(bundle, "tail.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +92,7 @@ func TestCaptureProducesCompleteBundle(t *testing.T) {
 	if err := json.Unmarshal(tl, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Queries != 3 || snap.Latency.Count != 1 {
+	if snap.Queries != 3 || snap.Latency.Count != 1 || len(snap.Tail) != 1 || snap.Tail[0].LatencyNs != 1200 {
 		t.Fatalf("tail snapshot %+v", snap)
 	}
 
@@ -221,12 +216,86 @@ func TestNilRecorder(t *testing.T) {
 	}
 }
 
+// TestCaptureTailEventsAreJournalLines: tail.json and journal.jsonl come
+// from one ring read, so every slowest-tail event in tail.json is, field
+// for field, a line of the same bundle's journal.jsonl — even while
+// publishers keep overwriting the rings during the capture.
+func TestCaptureTailEventsAreJournalLines(t *testing.T) {
+	j := obs.NewJournal(obs.JournalConfig{SampleEvery: 2, PerStrand: 32}, 2)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	publish := func(batch int64) {
+		for si := 0; si < 2; si++ {
+			s := j.Strand(si)
+			evs := make([]obs.JournalEvent, 16)
+			for q := range evs {
+				sampled := s.ShouldSample()
+				evs[q] = obs.JournalEvent{Batch: batch, Query: int32(si*16 + q), Leaf: int32(q), Nodes: 3, Sampled: sampled}
+				if sampled {
+					evs[q].DescentNs, evs[q].ScanNs = int64(100+q*7+int(batch)%13), int64(50+si)
+				}
+			}
+			s.Publish(evs)
+		}
+	}
+	publish(1)
+	go func() {
+		defer close(done)
+		for b := int64(2); ; b++ {
+			select {
+			case <-stop:
+				return
+			default:
+				publish(b)
+			}
+		}
+	}()
+	r := New(Config{Dir: t.TempDir(), Window: 5 * time.Millisecond}, Sources{Journal: j})
+	bundle, err := r.Capture("tail-join")
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckBundle(bundle); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(bundle, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := map[string]bool{}
+	for _, ln := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
+		lines[ln] = true
+	}
+	tl, err := os.ReadFile(filepath.Join(bundle, "tail.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.ServeSnapshot
+	if err := json.Unmarshal(tl, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Tail) == 0 {
+		t.Fatal("tail.json has no tail events")
+	}
+	for i := range snap.Tail {
+		line, err := json.Marshal(&snap.Tail[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !lines[string(line)] {
+			t.Fatalf("tail event %d is not a journal.jsonl line: %s", i, line)
+		}
+	}
+}
+
 // TestCaptureBundleTraces: a recorder wired to a trace sink freezes the
-// retained request traces into traces.jsonl, records the count in
-// meta.json, and CheckBundle holds the file to that count and to
-// well-formed trace ids.
+// ring's request traces into traces.jsonl, slowest first, records the
+// count in meta.json, and CheckBundle holds the file to that count and
+// to well-formed trace ids.
 func TestCaptureBundleTraces(t *testing.T) {
-	sink := obs.NewTraceSink(obs.TraceSinkConfig{Ring: 8, Tail: 2})
+	sink := obs.NewTraceSink(obs.TraceSinkConfig{Ring: 8})
 	for n := uint64(0); n < 5; n++ {
 		tc := obs.GenTrace(13, n)
 		sink.Publish(obs.RequestTrace{
@@ -237,7 +306,7 @@ func TestCaptureBundleTraces(t *testing.T) {
 		})
 	}
 	src := testSources()
-	src.Traces = sink.Retained
+	src.Traces = sink.Slowest
 
 	dir := t.TempDir()
 	r := New(Config{Dir: dir, Window: 10 * time.Millisecond}, src)
@@ -268,13 +337,16 @@ func TestCaptureBundleTraces(t *testing.T) {
 		}
 		ids[rt.TraceID] = true
 	}
-	// The slowest request (n=4) survives; the frozen set is the sink's
-	// Retained view, deduplicated.
+	// The frozen set is the whole ring, slowest request (n=4) first.
 	if len(ids) != 5 {
 		t.Fatalf("%d distinct traces, want 5", len(ids))
 	}
-	if !ids[obs.GenTrace(13, 4).TraceIDString()] {
-		t.Fatal("slowest trace missing from the bundle")
+	var first obs.RequestTrace
+	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
+		t.Fatal(err)
+	}
+	if first.TraceID != obs.GenTrace(13, 4).TraceIDString() {
+		t.Fatalf("first traces.jsonl line is %s, want the slowest request", first.TraceID)
 	}
 
 	var m struct {

@@ -15,12 +15,12 @@ import (
 //
 //	/metrics — Prometheus text exposition (format 0.0.4): the
 //	           process-wide sepdc_* counters, pool gauges, every
-//	           registered serve recorder's phase-split histograms and
+//	           registered journal's phase-split histograms and
 //	           rolling-window quantiles, and the registered gauges
 //	           (paper-invariant audit results).
 //	/statsz  — the same telemetry as machine-readable JSON: full
-//	           ServeSnapshot per registered recorder (including tail
-//	           samples with descent paths, which have no Prometheus
+//	           ServeSnapshot per registered journal (including the
+//	           slowest-query tail events, which have no Prometheus
 //	           representation) plus the global counters.
 //	/journal — the wide-event query journals as JSON Lines: one event
 //	           object per line, every registered journal, ordered by
@@ -35,9 +35,10 @@ import (
 //	/traces  — the request-trace sinks as JSON Lines: one completed
 //	           request per line with its queue/coalesce/pass span split.
 //	           ?name=<engine> filters to one sink; ?id=<32 hex> returns
-//	           only that trace; ?slowest=1 returns the retained slow
-//	           tail; &format=chrome (with id=) renders one trace as
-//	           Chrome trace_event JSON with request and strand lanes.
+//	           only that trace; ?slowest=1 returns the ring sorted
+//	           slowest first; &format=chrome (with id=) renders one
+//	           trace as Chrome trace_event JSON with request and strand
+//	           lanes.
 //
 // Mount it on any mux; cmd/knn wires it into -debug-addr alongside
 // expvar and pprof.
@@ -72,7 +73,7 @@ func serveMetrics(w http.ResponseWriter, req *http.Request) {
 	pw.Gauge("sepdc_pool_max_inflight", "High-water mark of concurrent worker-pool tasks.",
 		promtext.GaugeSample{Value: float64(globals["pool_max_inflight"])})
 
-	// Serve recorders: exact served counts, sampled phase-split
+	// Serve journals: exact served counts, sampled phase-split
 	// histograms, and window quantiles as a summary.
 	serveNames, snaps := serveSnapshots()
 	for _, name := range serveNames {
@@ -104,7 +105,7 @@ func serveMetrics(w http.ResponseWriter, req *http.Request) {
 	// Journal ring saturation: the fraction of ever-published wide
 	// events the rings have already overwritten. Near 1 the journal is
 	// mostly forgetting traffic before anyone reads it — grow the ring
-	// (QueryJournalConfig.PerStrand / knnserve -journal-ring) or drain
+	// (ServeObserverConfig.PerStrand / knnserve -journal-ring) or drain
 	// more often. metrics_audit.sh lints this gauge into [0, 1].
 	if jNames, journals := journalList(); len(jNames) > 0 {
 		samples := make([]promtext.GaugeSample, 0, len(jNames))
@@ -162,7 +163,7 @@ func histFamEx(pw *promtext.Writer, name, help string, labels []promtext.Label, 
 		}
 	}
 	// An exemplar may sit in a bucket the snapshot elides: Hist.Buckets
-	// lists non-empty buckets only, and RecordExemplar deliberately does
+	// lists non-empty buckets only, and a Forced event deliberately does
 	// not feed the aggregate counts. Union those Les in as zero-count
 	// cumulative points so every exemplar has a bucket line to ride.
 	counts := make(map[int64]int64, len(h.Buckets))

@@ -12,16 +12,16 @@ import (
 // TestMetricsHandlerExposition: a scrape of /metrics must be a valid
 // Prometheus text exposition carrying the registered telemetry.
 func TestMetricsHandlerExposition(t *testing.T) {
-	rec := NewServeRecorder(ServeConfig{Every: true, Window: 64, Tail: 4}, 2)
-	s := rec.Strand(0)
+	j := NewJournal(JournalConfig{SampleEvery: 1, PerStrand: 64}, 2)
+	s := j.Strand(0)
 	for i := 0; i < 100; i++ {
-		s.NoteQueries(1)
-		if s.ShouldSample() {
-			s.Record(int64(200+i), int64(100+i), 6, 9, 2, []int32{0, 3, 7})
-		}
+		s.Publish([]JournalEvent{{
+			Batch: 1, Query: int32(i), Leaf: 7, Nodes: 6, Scanned: 9, Reported: 2,
+			Sampled: s.ShouldSample(), DescentNs: int64(200 + i), ScanNs: int64(100 + i),
+		}})
 	}
-	RegisterServe("testengine", rec)
-	defer RegisterServe("testengine", nil)
+	RegisterJournal("testengine", j)
+	defer RegisterJournal("testengine", nil)
 	SetGauge(GaugeKey{Name: "sepdc_audit_pass", LabelName: "gen", LabelValue: "uniform-ball"},
 		"1 when every audit check passed.", 1)
 
@@ -58,16 +58,17 @@ func TestMetricsHandlerExposition(t *testing.T) {
 }
 
 // TestStatszJSON: /statsz must carry the full machine-readable snapshot
-// including tail samples with descent paths.
+// including the slowest queries as journal events, each naming the leaf
+// its descent ended in.
 func TestStatszJSON(t *testing.T) {
-	rec := NewServeRecorder(ServeConfig{Every: true, Window: 16, Tail: 2}, 1)
-	s := rec.Strand(0)
-	s.NoteQueries(1)
-	if s.ShouldSample() {
-		s.Record(900, 600, 5, 7, 1, []int32{0, 2, 6, 14})
-	}
-	RegisterServe("statszengine", rec)
-	defer RegisterServe("statszengine", nil)
+	j := NewJournal(JournalConfig{SampleEvery: 1, PerStrand: 16}, 1)
+	s := j.Strand(0)
+	s.Publish([]JournalEvent{{
+		Batch: 1, Leaf: 14, Nodes: 4, Scanned: 7, Reported: 1,
+		Sampled: s.ShouldSample(), DescentNs: 900, ScanNs: 600,
+	}})
+	RegisterJournal("statszengine", j)
+	defer RegisterJournal("statszengine", nil)
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -81,8 +82,9 @@ func TestStatszJSON(t *testing.T) {
 		Serves  map[string]struct {
 			Queries int64 `json:"queries"`
 			Tail    []struct {
-				LatencyNs int64   `json:"latency_ns"`
-				Path      []int32 `json:"path"`
+				LatencyNs int64 `json:"latency_ns"`
+				Leaf      int32 `json:"leaf"`
+				Nodes     int32 `json:"nodes_visited"`
 			} `json:"tail"`
 		} `json:"serves"`
 	}
@@ -96,8 +98,8 @@ func TestStatszJSON(t *testing.T) {
 	if eng.Queries != 1 || len(eng.Tail) != 1 || eng.Tail[0].LatencyNs != 1500 {
 		t.Fatalf("engine snapshot = %+v", eng)
 	}
-	if got := eng.Tail[0].Path; len(got) != 4 || got[3] != 14 {
-		t.Fatalf("tail path = %v", got)
+	if got := eng.Tail[0]; got.Leaf != 14 || got.Nodes != 4 {
+		t.Fatalf("tail event = %+v, want leaf 14 at depth 4", got)
 	}
 }
 

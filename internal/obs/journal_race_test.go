@@ -5,12 +5,14 @@ import (
 	"testing"
 )
 
-// TestJournalDrainPublishRace hammers concurrent Drain and Snapshot
-// against per-strand publishers and checks the ring's delivery contract
-// under the race detector: across every drain, no strand sequence number
-// is returned twice, no event is torn (its payload always matches its
-// Seq), and every published event is either delivered by some drain or
-// charged to the Dropped accounting — nothing is silently lost.
+// TestJournalDrainPublishRace hammers concurrent Drain, Snapshot and
+// the derived ServeSnapshot against per-strand publishers and checks the
+// ring's delivery contract under the race detector: across every drain,
+// no strand sequence number is returned twice, no event is torn (its
+// payload always matches its Seq, in the drained events and in the
+// derived tail alike), and every published event is either delivered by
+// some drain or charged to the Dropped accounting — nothing is silently
+// lost. The cumulative counts the publishes fold are exact at the end.
 func TestJournalDrainPublishRace(t *testing.T) {
 	const (
 		strands   = 4
@@ -34,8 +36,15 @@ func TestJournalDrainPublishRace(t *testing.T) {
 					seq++
 					// The payload encodes the publication position, so a
 					// drained event's fields must agree with its derived
-					// Seq; any mismatch is a torn read.
-					buf = append(buf, JournalEvent{Batch: seq, DescentNs: seq * 3, ScanNs: seq})
+					// Seq; any mismatch is a torn read. Every third event
+					// is tick-sampled, every ninth of those a forced
+					// traced one (exemplar only).
+					ev := JournalEvent{Batch: seq, DescentNs: seq * 3, ScanNs: seq, Sampled: seq%3 == 0}
+					if seq%27 == 0 {
+						tc := GenTrace(uint64(si), uint64(seq))
+						ev.Forced, ev.TraceHi, ev.TraceLo, ev.StartNs = true, tc.TraceHi, tc.TraceLo, seq
+					}
+					buf = append(buf, ev)
 				}
 				s.Publish(buf)
 			}
@@ -63,6 +72,27 @@ func TestJournalDrainPublishRace(t *testing.T) {
 				ev := &d.Events[i]
 				if ev.DescentNs != ev.Batch*3 || ev.ScanNs != ev.Batch {
 					t.Errorf("snapshot tore event: %+v", ev)
+					return
+				}
+			}
+			snap := j.ServeSnapshot()
+			if snap.Queries < snap.Sampled || int64(snap.Window.Window) > snap.Sampled ||
+				snap.Latency.Count != snap.Sampled {
+				t.Errorf("implausible serve snapshot: queries=%d sampled=%d window=%d count=%d",
+					snap.Queries, snap.Sampled, snap.Window.Window, snap.Latency.Count)
+				return
+			}
+			for i := range snap.Tail {
+				ev := &snap.Tail[i]
+				if ev.Batch != int64(ev.Seq) || ev.DescentNs != ev.Batch*3 || ev.Batch%3 != 0 ||
+					ev.Forced || (i > 0 && ev.LatencyNs > snap.Tail[i-1].LatencyNs) {
+					t.Errorf("derived tail tore or misordered event %d: %+v", i, ev)
+					return
+				}
+			}
+			for _, ex := range snap.LatencyExemplars {
+				if ex.ValueNs%(4*27) != 0 || ex.UnixNs*4 != ex.ValueNs {
+					t.Errorf("exemplar not a forced event: %+v", ex)
 					return
 				}
 			}
@@ -102,6 +132,12 @@ func TestJournalDrainPublishRace(t *testing.T) {
 	acc := j.Accounting()
 	if acc.Published != strands*total {
 		t.Fatalf("published %d, want %d", acc.Published, strands*total)
+	}
+	// Tick-sampled: seq%3 == 0 minus the forced seq%27 == 0 subset.
+	snap := j.ServeSnapshot()
+	if want := int64(strands * (total/3 - total/27)); snap.Sampled != want || snap.Queries != strands*total {
+		t.Fatalf("serve snapshot counts queries=%d sampled=%d, want %d/%d",
+			snap.Queries, snap.Sampled, strands*total, want)
 	}
 	var delivered uint64
 	for si, m := range seen {

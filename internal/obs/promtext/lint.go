@@ -333,20 +333,21 @@ func parseValue(s string) (float64, error) {
 }
 
 // CounterMonotonic verifies that no counter series decreased from a
-// previous scrape of the same target: every series declared a counter
-// in BOTH expositions and present in both must satisfy curr >= prev.
-// Series that appear or disappear are fine (registration churn);
-// decreases mean a counter was reset or two sources fought over one
-// name — either way the rate() a dashboard computes over it is garbage.
+// previous scrape of the same target: every counter series, histogram
+// _bucket and _count series, and summary _count series present in BOTH
+// expositions must satisfy curr >= prev. Series that appear or
+// disappear are fine (registration churn); decreases mean a counter was
+// reset or two sources fought over one name — either way the rate() a
+// dashboard computes over it is garbage.
 func (e *Exposition) CounterMonotonic(prev *Exposition) error {
 	prevVals := map[string]float64{}
 	for _, s := range prev.Series {
-		if prev.Types[familyOf(prev.Types, s.Name)] == "counter" {
+		if cumulative(prev.Types, s.Name) {
 			prevVals[s.Name+formatLabels(s.Labels)] = s.Value
 		}
 	}
 	for _, s := range e.Series {
-		if e.Types[familyOf(e.Types, s.Name)] != "counter" {
+		if !cumulative(e.Types, s.Name) {
 			continue
 		}
 		key := s.Name + formatLabels(s.Labels)
@@ -355,6 +356,21 @@ func (e *Exposition) CounterMonotonic(prev *Exposition) error {
 		}
 	}
 	return nil
+}
+
+// cumulative reports whether a series only ever grows: a counter, a
+// histogram's _bucket or _count, or a summary's _count. (Sums may shrink
+// under negative observations; quantiles and gauges move freely.)
+func cumulative(types map[string]string, series string) bool {
+	switch types[familyOf(types, series)] {
+	case "counter":
+		return true
+	case "histogram":
+		return strings.HasSuffix(series, "_bucket") || strings.HasSuffix(series, "_count")
+	case "summary":
+		return strings.HasSuffix(series, "_count")
+	}
+	return false
 }
 
 // check runs the per-family semantic validations.

@@ -239,9 +239,10 @@ func TestLintStrictLabelValues(t *testing.T) {
 	}
 }
 
-// TestCounterMonotonic: counters must not decrease between two scrapes
-// of the same target; appearing/disappearing series and gauges moving
-// down are fine.
+// TestCounterMonotonic: counters, histogram buckets and counts, and
+// summary counts must not decrease between two scrapes of the same
+// target; appearing/disappearing series, sums, quantiles and gauges
+// moving down are fine.
 func TestCounterMonotonic(t *testing.T) {
 	mustLint := func(doc string) *Exposition {
 		exp, err := Lint(strings.NewReader(doc))
@@ -271,7 +272,19 @@ func TestCounterMonotonic(t *testing.T) {
 			"histogram count decreases",
 			"# TYPE h histogram\nh_bucket{le=\"+Inf\"} 7\nh_sum 1\nh_count 7\n",
 			"# TYPE h histogram\nh_bucket{le=\"+Inf\"} 4\nh_sum 1\nh_count 4\n",
+			"decreased between scrapes",
+		},
+		{
+			"histogram buckets advance, sum may shrink",
+			"# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 7\nh_sum 5\nh_count 7\n",
+			"# TYPE h histogram\nh_bucket{le=\"1\"} 3\nh_bucket{le=\"+Inf\"} 9\nh_sum 4\nh_count 9\n",
 			"",
+		},
+		{
+			"summary quantile may drop, count may not",
+			"# TYPE s summary\ns{quantile=\"0.5\"} 9\ns_sum 9\ns_count 3\n",
+			"# TYPE s summary\ns{quantile=\"0.5\"} 2\ns_sum 9\ns_count 2\n",
+			"decreased between scrapes",
 		},
 		{
 			"gauge may decrease",

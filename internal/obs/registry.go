@@ -6,9 +6,9 @@ import (
 )
 
 // The registry is the glue between long-lived telemetry producers (serve
-// recorders, the paper-invariant auditor) and the /metrics handler: a
-// producer registers once under a stable name, the handler walks the
-// registry at scrape time. Everything here is scrape-path only — nothing
+// journals, trace sinks, the paper-invariant auditor) and the /metrics
+// handler: a producer registers once under a stable name, the handler
+// walks the registry at scrape time. Everything here is scrape-path only — nothing
 // on a query hot path touches the registry.
 
 // GaugeKey identifies one gauge series: metric name + one optional
@@ -21,7 +21,6 @@ type GaugeKey struct {
 
 type registry struct {
 	mu       sync.Mutex
-	serves   map[string]*ServeRecorder
 	journals map[string]*Journal
 	traces   map[string]*TraceSink
 	gauges   map[GaugeKey]float64
@@ -30,7 +29,6 @@ type registry struct {
 }
 
 var reg = registry{
-	serves:   map[string]*ServeRecorder{},
 	journals: map[string]*Journal{},
 	traces:   map[string]*TraceSink{},
 	gauges:   map[GaugeKey]float64{},
@@ -63,57 +61,9 @@ func infoSnapshot() map[string]string {
 	return out
 }
 
-// RegisterServe publishes a serve recorder under name (e.g. "batch");
-// re-registering a name replaces the previous recorder. A nil recorder
-// unregisters. The /metrics handler exports its snapshot per scrape.
-func RegisterServe(name string, r *ServeRecorder) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if r == nil {
-		delete(reg.serves, name)
-		return
-	}
-	reg.serves[name] = r
-}
-
-// RegisterServeIfAbsent publishes r under name only when the name is
-// free, and returns the recorder that owns the slot afterwards: r when
-// the registration won, the incumbent otherwise (registered reports
-// which). Replacing deliberately goes through RegisterServe; this is
-// the deterministic-name path for callers that must not silently drop
-// a live recorder's exposition slot.
-func RegisterServeIfAbsent(name string, r *ServeRecorder) (owner *ServeRecorder, registered bool) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if cur, ok := reg.serves[name]; ok {
-		return cur, false
-	}
-	reg.serves[name] = r
-	return r, true
-}
-
-// UnregisterServe removes name's registration only when r still owns
-// the slot. This is the safe teardown for replaceable observers: after
-// a hot swap re-registers name via RegisterServe, the replaced
-// observer's deferred close must become a no-op instead of silently
-// dropping the replacement's live exposition slot.
-func UnregisterServe(name string, r *ServeRecorder) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if cur, ok := reg.serves[name]; ok && cur == r {
-		delete(reg.serves, name)
-	}
-}
-
-// LookupServe returns the recorder registered under name, or nil.
-func LookupServe(name string) *ServeRecorder {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	return reg.serves[name]
-}
-
-// RegisterJournal publishes a wide-event journal under name; the
-// /journal endpoint drains it per request. A nil journal unregisters.
+// RegisterJournal publishes a serving journal under name: /metrics and
+// /statsz export its ServeSnapshot as the sepdc_serve_<name>_* series,
+// and /journal drains its events. A nil journal unregisters.
 func RegisterJournal(name string, j *Journal) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
@@ -125,7 +75,8 @@ func RegisterJournal(name string, j *Journal) {
 }
 
 // UnregisterJournal removes name's registration only when j still owns
-// the slot — the journal counterpart of UnregisterServe.
+// the slot. A stale handle's deferred close therefore never drops a
+// newer journal registered under the same name.
 func UnregisterJournal(name string, j *Journal) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
@@ -154,7 +105,7 @@ func RegisterTraces(name string, t *TraceSink) {
 }
 
 // UnregisterTraces removes name's registration only when t still owns
-// the slot — the trace-sink counterpart of UnregisterServe.
+// the slot — the trace-sink counterpart of UnregisterJournal.
 func UnregisterTraces(name string, t *TraceSink) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
@@ -234,22 +185,14 @@ func Gauges() []GaugeValue {
 	return out
 }
 
-// serveSnapshots returns name → snapshot for every registered serve
-// recorder, names sorted for deterministic exposition order.
+// serveSnapshots returns name → snapshot for every registered journal,
+// names sorted for deterministic exposition order.
 func serveSnapshots() ([]string, map[string]*ServeSnapshot) {
-	reg.mu.Lock()
-	serves := make(map[string]*ServeRecorder, len(reg.serves))
-	for k, v := range reg.serves {
-		serves[k] = v
+	names, journals := journalList()
+	out := make(map[string]*ServeSnapshot, len(journals))
+	for name, j := range journals {
+		out[name] = j.ServeSnapshot()
 	}
-	reg.mu.Unlock()
-	names := make([]string, 0, len(serves))
-	out := make(map[string]*ServeSnapshot, len(serves))
-	for name, r := range serves {
-		names = append(names, name)
-		out[name] = r.Snapshot()
-	}
-	sort.Strings(names)
 	return names, out
 }
 

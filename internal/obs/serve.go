@@ -3,165 +3,21 @@ package obs
 import (
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
-// This file is the serving-side half of the observability layer: where a
-// build Recorder observes one construction and dies with it, a
-// ServeRecorder is a long-lived per-engine latency capture for the
-// batched query path. Design constraints, in order:
-//
-//  1. A nil recorder (or nil strand) must cost one predictable branch
-//     per query on the batch hot loop and allocate nothing — the same
-//     contract as Shard.
-//
-//  2. An enabled recorder must not serialize the strands and must not
-//     allocate in steady state. Each batch strand records into its own
-//     cache-padded ServeStrand; the recording fields are atomics (so
-//     concurrent Snapshot readers are race-free) but are only ever
-//     written by one strand at a time, so there is no cross-strand
-//     contention. The only lock is a per-strand mutex on the tail
-//     sampler, taken when a query beats the current admission threshold
-//     — by construction a vanishing fraction of traffic.
-//
-//  3. Full per-query timing is sampled. The frozen descent costs a few
-//     hundred nanoseconds; bracketing every query with three monotonic
-//     clock reads would be a double-digit-percent tax. A strand instead
-//     times 1 in 2^SampleShift queries (deterministically, on a
-//     strand-local tick), and the sampled queries take a phase-split
-//     path: descent and leaf-scan timed separately, descent path
-//     captured for the tail sampler. The untimed majority pay one
-//     branch. Counts of queries/nodes/candidates remain exact (the
-//     batch engine tracks them regardless).
-
-// ServeConfig configures a ServeRecorder. The zero value selects the
-// defaults noted per field.
-type ServeConfig struct {
-	// SampleShift samples 1 in 2^SampleShift queries for full phase-split
-	// timing. 0 means the default (4, i.e. 1 in 16); use Every to time
-	// every query.
-	SampleShift uint
-	// Every times every query (SampleShift is ignored). Costly — for
-	// tests and offline analysis, not serving.
-	Every bool
-	// Window is the per-strand rolling window (in sampled queries) the
-	// p50/p95/p99/p999 snapshot quantiles are computed over. 0 selects
-	// 512; snapshots merge the windows of every strand.
-	Window int
-	// Tail is how many of the slowest sampled queries each strand
-	// retains, with descent path and candidate counts. 0 selects 8.
-	Tail int
-	// PathCap bounds the descent-path nodes stored per tail sample
-	// (deeper paths are truncated). 0 selects 64 — comfortably above the
-	// O(log n) height of any feasible tree.
-	PathCap int
-}
-
-const (
-	defaultServeShift   = 4
-	defaultServeWindow  = 512
-	defaultServeTail    = 8
-	defaultServePathCap = 64
-)
-
-func (c ServeConfig) shift() uint {
-	if c.Every {
-		return 0
-	}
-	if c.SampleShift == 0 {
-		return defaultServeShift
-	}
-	return c.SampleShift
-}
-
-func (c ServeConfig) window() int {
-	if c.Window <= 0 {
-		return defaultServeWindow
-	}
-	return c.Window
-}
-
-func (c ServeConfig) tail() int {
-	if c.Tail <= 0 {
-		return defaultServeTail
-	}
-	return c.Tail
-}
-
-func (c ServeConfig) pathCap() int {
-	if c.PathCap <= 0 {
-		return defaultServePathCap
-	}
-	return c.PathCap
-}
-
-// ServeRecorder is a long-lived, sharded latency recorder for a batched
-// query engine. All methods are nil-safe; Snapshot may be called
-// concurrently with recording.
-type ServeRecorder struct {
-	cfg ServeConfig
-
-	mu      sync.Mutex // guards strand-slice growth only
-	strands []*ServeStrand
-
-	seq atomic.Uint64 // global sample sequence (tail-sample recency)
-}
-
-// NewServeRecorder returns a recorder with the given strand count
-// (grown on demand by Ensure/Strand).
-func NewServeRecorder(cfg ServeConfig, strands int) *ServeRecorder {
-	r := &ServeRecorder{cfg: cfg}
-	r.Ensure(strands)
-	return r
-}
-
-// Config returns the recorder's resolved configuration.
-func (r *ServeRecorder) Config() ServeConfig { return r.cfg }
-
-// SampleEvery returns the sampling period (1 = every query).
-func (r *ServeRecorder) SampleEvery() int64 {
-	if r == nil {
-		return 0
-	}
-	return int64(1) << r.cfg.shift()
-}
-
-// Ensure grows the recorder to at least n strands. Safe to call
-// concurrently with recording on existing strands: the strand objects
-// are stable pointers and the slice is replaced, never resized in place.
-func (r *ServeRecorder) Ensure(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for len(r.strands) < n {
-		r.strands = append(r.strands, newServeStrand(r))
-	}
-}
-
-// Strand returns strand i, growing the recorder if needed. Nil-safe: a
-// nil recorder hands out a nil strand whose methods all no-op.
-func (r *ServeRecorder) Strand(i int) *ServeStrand {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	for len(r.strands) <= i {
-		r.strands = append(r.strands, newServeStrand(r))
-	}
-	s := r.strands[i]
-	r.mu.Unlock()
-	return s
-}
+// This file holds the serving views the journal's rings are read into:
+// a ServeSnapshot merges every strand's cumulative counts and
+// histograms (folded at publish time) with the rolling-window
+// quantiles, slowest tail, and exemplars derived from the retained
+// events at read time — no second store of per-query evidence exists.
 
 // AtomicHist is the race-safe form of the log2 histogram: identical
-// bucket semantics (see histBuckets), every field an atomic, so one
-// writer and any number of Snapshot readers need no lock. Multi-field
-// reads under concurrent writes are individually consistent but not
-// mutually transactional — a telemetry snapshot may be mid-observation
-// by one count, which is the standard Prometheus contract.
+// bucket semantics (see histBuckets), every field an atomic, so writers
+// and any number of Snapshot readers need no lock. Multi-field reads
+// under concurrent writes are individually consistent but not mutually
+// transactional — a telemetry snapshot may be mid-observation by one
+// count, which is the standard Prometheus contract.
 type AtomicHist struct {
 	count   atomic.Int64
 	sum     atomic.Int64
@@ -171,14 +27,11 @@ type AtomicHist struct {
 }
 
 // Reset arms an AtomicHist for first use (min must start at MaxInt64 so
-// the CAS floor works; the zero value's min of 0 would stick). Callers
-// construct strands through newServeStrand, which resets every hist, so
-// recording never needs a lazy-init branch.
+// the CAS floor works; the zero value's min of 0 would stick). Owners
+// call it once before the first Observe.
 func (h *AtomicHist) Reset() { h.min.Store(math.MaxInt64) }
 
 // Observe records one value (negatives clamp to 0, as in histogram).
-// Single-writer: the owning strand is the only recorder; any number of
-// Snapshot readers are safe concurrently.
 func (h *AtomicHist) Observe(v int64) {
 	if v < 0 {
 		v = 0
@@ -204,242 +57,20 @@ func (h *AtomicHist) Observe(v int64) {
 func (h *AtomicHist) Snapshot() Hist {
 	var plain histogram
 	plain.min = math.MaxInt64
-	h.mergeInto(&plain)
-	if plain.count == 0 {
-		plain.min = math.MaxInt64 // snapshot() normalizes to 0
+	if c := h.count.Load(); c > 0 {
+		plain.count = c
+		plain.sum = h.sum.Load()
+		plain.min = h.min.Load()
+		plain.max = h.max.Load()
+		for i := range plain.buckets {
+			plain.buckets[i] = h.buckets[i].Load()
+		}
 	}
 	return plain.snapshot()
 }
 
-func (h *AtomicHist) mergeInto(dst *histogram) {
-	c := h.count.Load()
-	if c == 0 {
-		return
-	}
-	dst.count += c
-	dst.sum += h.sum.Load()
-	if m := h.min.Load(); m < dst.min {
-		dst.min = m
-	}
-	if m := h.max.Load(); m > dst.max {
-		dst.max = m
-	}
-	for i := range dst.buckets {
-		dst.buckets[i] += h.buckets[i].Load()
-	}
-}
-
-// TailSample is one retained slow query: its phase-split latency, the
-// descent path it took (node ids of the frozen tree, truncated to the
-// recorder's PathCap), and its candidate accounting.
-type TailSample struct {
-	Seq       uint64  `json:"seq"`        // global sample sequence (recency)
-	Strand    int     `json:"strand"`     // strand that served it
-	LatencyNs int64   `json:"latency_ns"` // descent + leaf scan
-	DescentNs int64   `json:"descent_ns"`
-	ScanNs    int64   `json:"scan_ns"`
-	Nodes     int     `json:"nodes_visited"` // root-to-leaf node count
-	Scanned   int     `json:"leaf_scanned"`  // leaf candidates tested
-	Reported  int     `json:"reported"`      // balls reported
-	Path      []int32 `json:"path,omitempty"`
-}
-
-// ServeStrand is one batch strand's recording buffer. Methods are
-// nil-safe no-ops; a strand's record path must only be driven by one
-// goroutine at a time (the batch engine's strand discipline), while
-// Snapshot may read concurrently.
-type ServeStrand struct {
-	rec *ServeRecorder
-
-	queries atomic.Int64 // all queries seen (sampled or not)
-	sampled atomic.Int64
-
-	descent AtomicHist // sampled descent wall time (ns)
-	scan    AtomicHist // sampled leaf-scan wall time (ns)
-	total   AtomicHist // sampled descent+scan (ns)
-	nodes   AtomicHist // nodes visited per sampled query
-	cands   AtomicHist // leaf candidates scanned per sampled query
-
-	ring    []atomic.Int64 // rolling window of sampled total latencies
-	ringPos atomic.Int64   // monotonically increasing write cursor
-
-	tailMin atomic.Int64 // admission threshold: smallest retained latency
-	tailMu  sync.Mutex   // guards tail contents (rare inserts + snapshots)
-	tail    []TailSample // ≤ cfg.tail() entries, each with pre-allocated Path
-
-	exMu sync.Mutex // guards ex (rare traced-sample writes + snapshots)
-	ex   [histBuckets]exemplarSlot
-
-	tick uint64 // strand-local sample clock (never read by Strand's Snapshot)
-	mask uint64
-
-	_ [64]byte // keep hot strands off each other's cache lines
-}
-
-// exemplarSlot is one latency bucket's most recent traced observation:
-// the raw trace id (hex rendered at scrape time), the observed latency,
-// and its wall-clock timestamp. A zero trace id means "no exemplar yet".
-type exemplarSlot struct {
-	traceHi, traceLo uint64
-	value            int64
-	unixNs           int64
-}
-
-func newServeStrand(r *ServeRecorder) *ServeStrand {
-	s := &ServeStrand{
-		rec:  r,
-		ring: make([]atomic.Int64, r.cfg.window()),
-		tail: make([]TailSample, 0, r.cfg.tail()),
-		mask: 1<<r.cfg.shift() - 1,
-	}
-	for _, h := range []*AtomicHist{&s.descent, &s.scan, &s.total, &s.nodes, &s.cands} {
-		h.Reset()
-	}
-	return s
-}
-
-// NoteQueries adds n to the strand's served-query count; the batch
-// engine calls it once per claimed chunk so the untimed majority of
-// queries cost no atomics at all.
-func (s *ServeStrand) NoteQueries(n int64) {
-	if s == nil {
-		return
-	}
-	s.queries.Add(n)
-}
-
-// ShouldSample advances the strand's sample clock and reports whether
-// the next query should take the timed phase-split path. Deterministic:
-// 1 in 2^SampleShift ticks, no RNG, no clock read.
-func (s *ServeStrand) ShouldSample() bool {
-	if s == nil {
-		return false
-	}
-	s.tick++
-	return s.tick&s.mask == 0
-}
-
-// Record stores one sampled query: phase-split wall times, traversal
-// shape, and — when the query is slow enough to beat the tail admission
-// threshold — a tail sample with its descent path. path is copied (up to
-// PathCap nodes); the caller keeps ownership.
-func (s *ServeStrand) Record(descNs, scanNs int64, nodes, scanned, reported int, path []int32) {
-	if s == nil {
-		return
-	}
-	total := descNs + scanNs
-	s.sampled.Add(1)
-	s.descent.Observe(descNs)
-	s.scan.Observe(scanNs)
-	s.total.Observe(total)
-	s.nodes.Observe(int64(nodes))
-	s.cands.Observe(int64(scanned))
-	pos := s.ringPos.Add(1) - 1
-	s.ring[pos%int64(len(s.ring))].Store(total)
-
-	// Tail admission: one atomic load on the common (fast-query) path.
-	// tailMin is 0 until the tail fills, so early samples always enter.
-	if total <= s.tailMin.Load() {
-		return
-	}
-	s.recordTail(TailSample{
-		Seq:       s.rec.seq.Add(1),
-		LatencyNs: total,
-		DescentNs: descNs,
-		ScanNs:    scanNs,
-		Nodes:     nodes,
-		Scanned:   scanned,
-		Reported:  reported,
-	}, path)
-}
-
-// RecordTraced is Record for a sampled query that also carries a trace
-// context: identical aggregate recording, plus the query becomes the
-// latency bucket's OpenMetrics exemplar (latest traced observation per
-// bucket wins). Traced sampled queries are a small fraction of traffic
-// — a client must both send a traceparent and win the sample tick (or
-// send it pre-sampled) — so the exemplar mutex is uncontended and the
-// fixed slot array keeps this allocation-free.
-func (s *ServeStrand) RecordTraced(descNs, scanNs int64, nodes, scanned, reported int, path []int32, tc TraceContext, unixNs int64) {
-	if s == nil {
-		return
-	}
-	s.Record(descNs, scanNs, nodes, scanned, reported, path)
-	if !tc.Valid() {
-		return
-	}
-	s.storeExemplar(descNs+scanNs, tc, unixNs)
-}
-
-// RecordExemplar stores a traced observation as its latency bucket's
-// exemplar WITHOUT feeding the aggregate telemetry. It is the record
-// for a query that took the timed path only because its request carried
-// a pre-sampled traceparent: folding such queries into the histograms,
-// window quantiles, and tail would skew the recorder's deterministic
-// 1-in-SampleEvery statistics toward whatever traffic clients happen to
-// trace, and would make an instrumented run's aggregates diverge from
-// an untraced run over the same stream. The forced path pays one
-// uncontended mutex and nothing else.
-func (s *ServeStrand) RecordExemplar(totalNs int64, tc TraceContext, unixNs int64) {
-	if s == nil || !tc.Valid() {
-		return
-	}
-	s.storeExemplar(totalNs, tc, unixNs)
-}
-
-func (s *ServeStrand) storeExemplar(totalNs int64, tc TraceContext, unixNs int64) {
-	if totalNs < 0 {
-		totalNs = 0
-	}
-	b := bucketOf(totalNs)
-	s.exMu.Lock()
-	s.ex[b] = exemplarSlot{traceHi: tc.TraceHi, traceLo: tc.TraceLo, value: totalNs, unixNs: unixNs}
-	s.exMu.Unlock()
-}
-
-func (s *ServeStrand) recordTail(ts TailSample, path []int32) {
-	tcap := s.rec.cfg.tail()
-	pathCap := s.rec.cfg.pathCap()
-	s.tailMu.Lock()
-	defer s.tailMu.Unlock()
-	slot := -1
-	if len(s.tail) < tcap {
-		// Growing phase: append a fresh sample with its own path buffer
-		// (the only allocations the tail ever performs).
-		s.tail = append(s.tail, TailSample{Path: make([]int32, 0, pathCap)})
-		slot = len(s.tail) - 1
-	} else {
-		// Steady state: displace the fastest retained sample in place.
-		min := int64(math.MaxInt64)
-		for i := range s.tail {
-			if s.tail[i].LatencyNs < min {
-				min, slot = s.tail[i].LatencyNs, i
-			}
-		}
-		if ts.LatencyNs <= min {
-			return // raced past the threshold; no longer qualifies
-		}
-	}
-	buf := s.tail[slot].Path[:0]
-	if len(path) > pathCap {
-		path = path[:pathCap]
-	}
-	ts.Path = append(buf, path...)
-	s.tail[slot] = ts
-	if len(s.tail) == tcap {
-		min := int64(math.MaxInt64)
-		for i := range s.tail {
-			if s.tail[i].LatencyNs < min {
-				min = s.tail[i].LatencyNs
-			}
-		}
-		s.tailMin.Store(min)
-	}
-}
-
 // ServeQuantiles is a rolling-window latency summary: nearest-rank
-// quantiles over the merged per-strand windows of sampled total
-// latencies.
+// quantiles over the tick-sampled latencies the rings retain.
 type ServeQuantiles struct {
 	Window int   `json:"window"` // entries the quantiles were computed over
 	P50    int64 `json:"p50_ns"`
@@ -448,12 +79,13 @@ type ServeQuantiles struct {
 	P999   int64 `json:"p999_ns"`
 }
 
-// ServeSnapshot is a point-in-time, JSON-ready view of a ServeRecorder:
-// exact served counts, sampled phase-split histograms, rolling-window
-// quantiles, and the retained slowest queries. Histograms and quantiles
-// merge commutatively across strands, so a snapshot of an N-strand
-// recorder fed a query stream equals a single-strand recorder fed the
-// same stream (asserted by TestServeMergeMatchesSingleStrand).
+// ServeSnapshot is a point-in-time, JSON-ready view of a journal's
+// serving telemetry: exact served counts, tick-sampled phase-split
+// histograms, and — derived from the retained ring — rolling-window
+// quantiles, the slowest queries, and the latency exemplars. Counts and
+// histograms merge commutatively across strands, so a snapshot of an
+// N-strand journal fed a query stream equals a single-strand journal fed
+// the same stream (asserted by TestServeMergeMatchesSingleStrand).
 type ServeSnapshot struct {
 	Strands     int   `json:"strands"`
 	Queries     int64 `json:"queries"`
@@ -467,14 +99,21 @@ type ServeSnapshot struct {
 	Scanned Hist `json:"leaf_scanned"`
 
 	Window ServeQuantiles `json:"window"`
-	Tail   []TailSample   `json:"tail,omitempty"`
+	// Tail is the TailLen slowest retained tick-sampled queries, slowest
+	// first, as journal events (Leaf names the descent's root-to-leaf
+	// chain).
+	Tail []JournalEvent `json:"tail,omitempty"`
 
-	// LatencyExemplars is the latest traced observation per non-empty
-	// latency bucket (ascending Le) — the OpenMetrics exemplar set the
-	// /metrics handler attaches to the latency histogram so a bucket
-	// count links to a concrete trace id.
+	// LatencyExemplars is the latest traced timed observation per
+	// latency bucket among the retained events (ascending Le) — the
+	// OpenMetrics exemplar set the /metrics handler attaches to the
+	// latency histogram so a bucket count links to a concrete trace id.
 	LatencyExemplars []LatencyExemplar `json:"latency_exemplars,omitempty"`
 }
+
+// TailLen is how many of the slowest retained tick-sampled queries a
+// ServeSnapshot lists.
+const TailLen = 16
 
 // LatencyExemplar is one latency bucket's exemplar in export form: the
 // bucket's inclusive upper bound, the hex trace id of the most recent
@@ -486,84 +125,93 @@ type LatencyExemplar struct {
 	UnixNs  int64  `json:"unix_ns"`
 }
 
-// Snapshot merges every strand. Safe to call while strands record; the
-// result is a consistent-enough telemetry view (each field internally
-// exact, cross-field skew bounded by in-flight observations). Nil-safe.
-func (r *ServeRecorder) Snapshot() *ServeSnapshot {
-	if r == nil {
+// ServeSnapshot merges every strand's aggregates and derives the ring
+// views. Safe to call while strands publish; each strand is read under
+// one lock hold. Nil-safe.
+func (j *Journal) ServeSnapshot() *ServeSnapshot {
+	if j == nil {
 		return nil
 	}
-	r.mu.Lock()
-	strands := append([]*ServeStrand(nil), r.strands...)
-	r.mu.Unlock()
+	var agg serveAgg
+	agg.reset()
+	return j.snapshotOf(j.read(false, &agg), &agg)
+}
 
-	snap := &ServeSnapshot{Strands: len(strands), SampleEvery: r.SampleEvery()}
-	var lat, desc, scan, nodes, cands histogram
-	for _, h := range []*histogram{&lat, &desc, &scan, &nodes, &cands} {
-		h.min = math.MaxInt64
+// tailRef locates one retained record during view derivation.
+type tailRef struct {
+	rec    *journalRec
+	pos    uint64
+	strand int
+}
+
+// slower orders tail candidates: higher latency first, ties broken by
+// strand then publication position so the tail is deterministic.
+func (a tailRef) slower(b tailRef) bool {
+	if la, lb := a.rec.latency(), b.rec.latency(); la != lb {
+		return la > lb
+	}
+	if a.strand != b.strand {
+		return a.strand < b.strand
+	}
+	return a.pos < b.pos
+}
+
+func (j *Journal) snapshotOf(copies []strandCopy, agg *serveAgg) *ServeSnapshot {
+	snap := &ServeSnapshot{
+		Strands: len(copies), Queries: agg.queries, Sampled: agg.sampled,
+		SampleEvery: j.SampleEvery(),
+		Latency:     agg.latency.snapshot(), Descent: agg.descent.snapshot(),
+		Scan: agg.scan.snapshot(), Nodes: agg.nodes.snapshot(),
+		Scanned: agg.scanned.snapshot(),
 	}
 	var window []int64
-	var ex [histBuckets]exemplarSlot
-	for si, s := range strands {
-		snap.Queries += s.queries.Load()
-		snap.Sampled += s.sampled.Load()
-		s.total.mergeInto(&lat)
-		s.descent.mergeInto(&desc)
-		s.scan.mergeInto(&scan)
-		s.nodes.mergeInto(&nodes)
-		s.cands.mergeInto(&cands)
-
-		n := s.ringPos.Load()
-		if n > int64(len(s.ring)) {
-			n = int64(len(s.ring))
-		}
-		for i := int64(0); i < n; i++ {
-			window = append(window, s.ring[i].Load())
-		}
-
-		s.tailMu.Lock()
-		for i := range s.tail {
-			ts := s.tail[i]
-			ts.Path = append([]int32(nil), ts.Path...)
-			ts.Strand = si
-			snap.Tail = append(snap.Tail, ts)
-		}
-		s.tailMu.Unlock()
-
-		// Merge exemplars: per bucket, the most recent traced observation
-		// across strands wins.
-		s.exMu.Lock()
-		for b := range s.ex {
-			e := s.ex[b]
-			if e.traceHi|e.traceLo != 0 && (ex[b].traceHi|ex[b].traceLo == 0 || e.unixNs > ex[b].unixNs) {
-				ex[b] = e
+	var tail []tailRef // slowest first, at most TailLen
+	var ex [histBuckets]*journalRec
+	for _, c := range copies {
+		for i := range c.recs {
+			r := &c.recs[i]
+			if !r.sampled {
+				continue
 			}
+			lat := r.latency()
+			if r.traced() {
+				// Latest traced timed observation per bucket wins, forced
+				// or tick-sampled alike.
+				if b := bucketOf(lat); ex[b] == nil || r.startNs >= ex[b].startNs {
+					ex[b] = r
+				}
+			}
+			if r.forced {
+				continue
+			}
+			window = append(window, lat)
+			ref := tailRef{rec: r, pos: c.from + uint64(i), strand: c.idx}
+			if len(tail) == TailLen && !ref.slower(tail[TailLen-1]) {
+				continue
+			}
+			k := sort.Search(len(tail), func(k int) bool { return ref.slower(tail[k]) })
+			if len(tail) < TailLen {
+				tail = append(tail, tailRef{})
+			}
+			copy(tail[k+1:], tail[k:])
+			tail[k] = ref
 		}
-		s.exMu.Unlock()
 	}
-	snap.Latency = lat.snapshot()
-	snap.Descent = desc.snapshot()
-	snap.Scan = scan.snapshot()
-	snap.Nodes = nodes.snapshot()
-	snap.Scanned = cands.snapshot()
 	snap.Window = windowQuantiles(window)
-	for b := range ex {
-		if ex[b].traceHi|ex[b].traceLo == 0 {
+	for _, t := range tail {
+		snap.Tail = append(snap.Tail, t.rec.export(t.pos, t.strand))
+	}
+	for b, r := range ex {
+		if r == nil {
 			continue
 		}
 		snap.LatencyExemplars = append(snap.LatencyExemplars, LatencyExemplar{
 			Le:      bucketLe(b),
-			TraceID: TraceIDString(ex[b].traceHi, ex[b].traceLo),
-			ValueNs: ex[b].value,
-			UnixNs:  ex[b].unixNs,
+			TraceID: TraceIDString(r.traceHi, r.traceLo),
+			ValueNs: r.latency(),
+			UnixNs:  r.startNs,
 		})
 	}
-	sort.Slice(snap.Tail, func(i, j int) bool {
-		if snap.Tail[i].LatencyNs != snap.Tail[j].LatencyNs {
-			return snap.Tail[i].LatencyNs > snap.Tail[j].LatencyNs
-		}
-		return snap.Tail[i].Seq < snap.Tail[j].Seq
-	})
 	return snap
 }
 

@@ -8,9 +8,9 @@ import (
 
 // synthStream is a deterministic synthetic query stream: latencies and
 // traversal shapes with enough spread to land in many buckets and
-// exercise the tail sampler.
-func synthStream(n int) []TailSample {
-	out := make([]TailSample, n)
+// exercise the slowest-tail view.
+func synthStream(n int) []JournalEvent {
+	out := make([]JournalEvent, n)
 	for i := range out {
 		// A mostly-flat distribution with rare large spikes (the tail).
 		lat := int64(200 + (i*37)%400)
@@ -18,48 +18,53 @@ func synthStream(n int) []TailSample {
 			lat = int64(5000 + i*13)
 		}
 		desc := lat * 2 / 3
-		out[i] = TailSample{
+		out[i] = JournalEvent{
+			Batch:     1,
+			Query:     int32(i),
 			DescentNs: desc,
 			ScanNs:    lat - desc,
-			LatencyNs: lat,
-			Nodes:     8 + i%7,
-			Scanned:   3 + i%29,
-			Reported:  i % 5,
+			Nodes:     int32(8 + i%7),
+			Scanned:   int32(3 + i%29),
+			Reported:  int32(i % 5),
 		}
 	}
 	return out
 }
 
-func feed(s *ServeStrand, q TailSample, path []int32) {
-	s.NoteQueries(1)
-	if s.ShouldSample() {
-		s.Record(q.DescentNs, q.ScanNs, q.Nodes, q.Scanned, q.Reported, path)
+// feed publishes one query the way the batch engine does: the strand's
+// sample tick decides whether it was timed.
+func feed(s *JournalStrand, q JournalEvent, buf []JournalEvent) {
+	q.Sampled = s.ShouldSample()
+	if !q.Sampled {
+		q.DescentNs, q.ScanNs = 0, 0
 	}
+	buf[0] = q
+	s.Publish(buf[:1])
 }
 
 // TestServeMergeMatchesSingleStrand is the satellite-4 golden: a
 // snapshot merged across N strands fed round-robin must equal a
-// single-strand recorder fed the same stream in order — histograms
-// exactly, window quantiles exactly (window sized to hold every
-// sample), and the same top tail latencies.
+// single-strand journal fed the same stream in order — histograms
+// exactly, window quantiles exactly (rings sized to hold every
+// sample), and the same slowest tail.
 func TestServeMergeMatchesSingleStrand(t *testing.T) {
 	const n = 4096
 	stream := synthStream(n)
-	cfg := ServeConfig{Every: true, Window: n, Tail: 16}
+	cfg := JournalConfig{SampleEvery: 1, PerStrand: n}
+	buf := make([]JournalEvent, 1)
 
-	single := NewServeRecorder(cfg, 1)
+	single := NewJournal(cfg, 1)
 	s0 := single.Strand(0)
-	path := []int32{0, 1, 2, 3}
 	for _, q := range stream {
-		feed(s0, q, path)
+		feed(s0, q, buf)
 	}
 
-	multi := NewServeRecorder(cfg, 4)
+	multi := NewJournal(cfg, 4)
 	for i, q := range stream {
-		feed(multi.Strand(i%4), q, path)
+		feed(multi.Strand(i%4), q, buf)
 	}
 
-	a, b := single.Snapshot(), multi.Snapshot()
+	a, b := single.ServeSnapshot(), multi.ServeSnapshot()
 	if a.Queries != int64(n) || b.Queries != int64(n) {
 		t.Fatalf("queries: single=%d multi=%d want %d", a.Queries, b.Queries, n)
 	}
@@ -83,15 +88,16 @@ func TestServeMergeMatchesSingleStrand(t *testing.T) {
 	if a.Window != b.Window {
 		t.Errorf("window quantiles diverge: single=%+v multi=%+v", a.Window, b.Window)
 	}
-	// The single recorder retains the global top-16; each multi strand
-	// retains its local top-16, so the merged tail is a superset of the
-	// true global top-16. Its 16 slowest must match exactly.
-	if len(a.Tail) != 16 || len(b.Tail) < 16 {
+	// Both tails are the TailLen slowest of the same retained samples.
+	if len(a.Tail) != TailLen || len(b.Tail) != TailLen {
 		t.Fatalf("tail sizes: single=%d multi=%d", len(a.Tail), len(b.Tail))
 	}
-	for i := 0; i < 16; i++ {
-		if a.Tail[i].LatencyNs != b.Tail[i].LatencyNs {
-			t.Errorf("tail[%d]: single=%d multi=%d", i, a.Tail[i].LatencyNs, b.Tail[i].LatencyNs)
+	for i := range a.Tail {
+		if a.Tail[i].LatencyNs != b.Tail[i].LatencyNs || a.Tail[i].Query != b.Tail[i].Query {
+			t.Errorf("tail[%d]: single=%+v multi=%+v", i, a.Tail[i], b.Tail[i])
+		}
+		if i > 0 && a.Tail[i].LatencyNs > a.Tail[i-1].LatencyNs {
+			t.Errorf("tail not slowest first at %d", i)
 		}
 	}
 }
@@ -108,15 +114,16 @@ func histEqual(a, b Hist) bool {
 	return true
 }
 
-// TestServeSampling: with SampleShift=3 exactly 1 in 8 queries is
+// TestServeSampling: with SampleEvery=8 exactly 1 in 8 queries is
 // sampled, deterministically, and exact query counts are unaffected.
 func TestServeSampling(t *testing.T) {
-	r := NewServeRecorder(ServeConfig{SampleShift: 3}, 1)
-	s := r.Strand(0)
+	j := NewJournal(JournalConfig{SampleEvery: 8}, 1)
+	s := j.Strand(0)
+	buf := make([]JournalEvent, 1)
 	for i := 0; i < 800; i++ {
-		feed(s, TailSample{LatencyNs: 100, DescentNs: 60, ScanNs: 40, Nodes: 4, Scanned: 2}, nil)
+		feed(s, JournalEvent{DescentNs: 60, ScanNs: 40, Nodes: 4, Scanned: 2}, buf)
 	}
-	snap := r.Snapshot()
+	snap := j.ServeSnapshot()
 	if snap.Queries != 800 {
 		t.Errorf("queries = %d, want 800", snap.Queries)
 	}
@@ -129,80 +136,82 @@ func TestServeSampling(t *testing.T) {
 	if snap.Latency.Count != 100 {
 		t.Errorf("latency count = %d, want 100", snap.Latency.Count)
 	}
+	// Non-power-of-two periods round up.
+	if got := NewJournal(JournalConfig{SampleEvery: 5}, 0).SampleEvery(); got != 8 {
+		t.Errorf("SampleEvery 5 rounds to %d, want 8", got)
+	}
 }
 
 // TestServeNilSafety: every method must be a no-op through nil
 // receivers, and the nil fast path must not allocate.
 func TestServeNilSafety(t *testing.T) {
-	var r *ServeRecorder
-	if r.Snapshot() != nil {
-		t.Fatal("nil recorder produced a snapshot")
+	var j *Journal
+	if j.ServeSnapshot() != nil {
+		t.Fatal("nil journal produced a snapshot")
 	}
-	r.Ensure(4)
-	s := r.Strand(2)
+	j.Ensure(4)
+	s := j.Strand(2)
 	if s != nil {
-		t.Fatal("nil recorder handed out a strand")
+		t.Fatal("nil journal handed out a strand")
 	}
-	s.NoteQueries(5)
 	if s.ShouldSample() {
 		t.Fatal("nil strand wants a sample")
 	}
-	s.Record(1, 2, 3, 4, 5, nil)
-	if r.SampleEvery() != 0 {
-		t.Fatalf("nil recorder SampleEvery = %d", r.SampleEvery())
+	if j.SampleEvery() != 0 {
+		t.Fatalf("nil journal SampleEvery = %d", j.SampleEvery())
 	}
+	buf := []JournalEvent{{Sampled: true, DescentNs: 1, ScanNs: 2}}
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.NoteQueries(1)
 		if s.ShouldSample() {
-			s.Record(1, 2, 3, 4, 5, nil)
+			t.Fatal("nil strand sampled")
 		}
+		s.Publish(buf)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil serve path allocated %.1f allocs/op", allocs)
 	}
 }
 
-// TestServeRecordSteadyStateZeroAllocs: once the tail is warm, the
-// record path (including tail displacement) must not allocate.
+// TestServeRecordSteadyStateZeroAllocs: once the ring is warm, publishing
+// tick-sampled events — ring write plus the five histogram folds — must
+// not allocate.
 func TestServeRecordSteadyStateZeroAllocs(t *testing.T) {
-	r := NewServeRecorder(ServeConfig{Every: true, Tail: 4, Window: 64}, 1)
-	s := r.Strand(0)
-	path := []int32{0, 5, 9, 12, 17}
-	for i := 0; i < 64; i++ { // warm: fill tail and ring
-		feed(s, TailSample{LatencyNs: int64(1000 + i), DescentNs: int64(600 + i), ScanNs: 400, Nodes: 5, Scanned: 9}, path)
+	j := NewJournal(JournalConfig{SampleEvery: 1, PerStrand: 64}, 1)
+	s := j.Strand(0)
+	buf := make([]JournalEvent, 1)
+	for i := 0; i < 64; i++ { // warm: wrap the ring once
+		feed(s, JournalEvent{DescentNs: int64(600 + i), ScanNs: 400, Nodes: 5, Scanned: 9}, buf)
 	}
 	lat := int64(2000)
 	allocs := testing.AllocsPerRun(1000, func() {
-		lat++ // strictly increasing: every record displaces a tail entry
-		s.NoteQueries(1)
-		if s.ShouldSample() {
-			s.Record(lat*3/5, lat*2/5, 6, 11, 2, path)
-		}
+		lat++
+		feed(s, JournalEvent{DescentNs: lat * 3 / 5, ScanNs: lat * 2 / 5, Nodes: 6, Scanned: 11, Leaf: 17}, buf)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm record path allocated %.1f allocs/op, want 0", allocs)
 	}
 }
 
-// TestServeConcurrentSnapshot races recording strands against Snapshot
-// readers; run under -race this is the satellite-4 race assertion.
+// TestServeConcurrentSnapshot races publishing strands against
+// ServeSnapshot readers; run under -race this is the satellite-4 race
+// assertion.
 func TestServeConcurrentSnapshot(t *testing.T) {
-	r := NewServeRecorder(ServeConfig{SampleShift: 1, Tail: 4, Window: 128}, 4)
+	j := NewJournal(JournalConfig{SampleEvery: 2, PerStrand: 128}, 4)
 	var recorders sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		recorders.Add(1)
 		go func(w int) {
 			defer recorders.Done()
-			s := r.Strand(w)
-			path := []int32{int32(w), 1, 2}
+			s := j.Strand(w)
+			buf := make([]JournalEvent, 1)
 			for i := 0; i < 20000; i++ {
-				feed(s, TailSample{
-					LatencyNs: int64(100 + i%1000),
+				feed(s, JournalEvent{
 					DescentNs: int64(60 + i%600),
 					ScanNs:    int64(40 + i%400),
-					Nodes:     3 + i%9,
-					Scanned:   i % 31,
-				}, path)
+					Nodes:     int32(3 + i%9),
+					Scanned:   int32(i % 31),
+					Leaf:      int32(w),
+				}, buf)
 			}
 		}(w)
 	}
@@ -218,10 +227,10 @@ func TestServeConcurrentSnapshot(t *testing.T) {
 					return
 				default:
 				}
-				snap := r.Snapshot()
-				if snap.Queries < snap.Sampled {
-					t.Errorf("implausible snapshot: queries=%d < sampled=%d",
-						snap.Queries, snap.Sampled)
+				snap := j.ServeSnapshot()
+				if snap.Queries < snap.Sampled || int64(snap.Window.Window) > snap.Sampled {
+					t.Errorf("implausible snapshot: queries=%d sampled=%d window=%d",
+						snap.Queries, snap.Sampled, snap.Window.Window)
 					return
 				}
 			}
@@ -230,12 +239,60 @@ func TestServeConcurrentSnapshot(t *testing.T) {
 	recorders.Wait()
 	close(stop)
 	readers.Wait()
-	snap := r.Snapshot()
+	snap := j.ServeSnapshot()
 	if snap.Queries != 4*20000 {
 		t.Fatalf("queries = %d, want %d", snap.Queries, 4*20000)
 	}
 	if snap.Sampled != snap.Queries/2 {
 		t.Fatalf("sampled = %d, want %d", snap.Sampled, snap.Queries/2)
+	}
+	// The window covers exactly the sampled events the rings retain.
+	if snap.Window.Window != 4*128/2 {
+		t.Fatalf("window = %d, want %d", snap.Window.Window, 4*128/2)
+	}
+}
+
+// TestServeViewsFollowTheRing: the window, tail and exemplars are read
+// from the retained events, so a slow query overwritten out of the ring
+// leaves the tail while the cumulative histograms keep counting it;
+// forced (trace-sampled) events ride only the exemplars.
+func TestServeViewsFollowTheRing(t *testing.T) {
+	j := NewJournal(JournalConfig{SampleEvery: 1, PerStrand: 4}, 1)
+	s := j.Strand(0)
+	tc := GenTrace(5, 1)
+	s.Publish([]JournalEvent{
+		{Query: 0, Sampled: true, DescentNs: 9000, ScanNs: 1000, Leaf: 3},
+		{Query: 1, Sampled: true, Forced: true, DescentNs: 700, ScanNs: 300,
+			TraceHi: tc.TraceHi, TraceLo: tc.TraceLo, StartNs: 42},
+	})
+	snap := j.ServeSnapshot()
+	if snap.Sampled != 1 || snap.Latency.Count != 1 || snap.Window.Window != 1 {
+		t.Fatalf("forced event fed the aggregates: %+v", snap)
+	}
+	if len(snap.Tail) != 1 || snap.Tail[0].LatencyNs != 10000 || snap.Tail[0].Leaf != 3 {
+		t.Fatalf("tail = %+v, want the one tick-sampled query", snap.Tail)
+	}
+	if len(snap.LatencyExemplars) != 1 || snap.LatencyExemplars[0].ValueNs != 1000 ||
+		snap.LatencyExemplars[0].TraceID != tc.TraceIDString() || snap.LatencyExemplars[0].UnixNs != 42 {
+		t.Fatalf("exemplars = %+v, want the forced traced query", snap.LatencyExemplars)
+	}
+
+	// Four fast queries overwrite both events out of the ring of 4.
+	for q := int32(2); q < 6; q++ {
+		s.Publish([]JournalEvent{{Query: q, Sampled: true, DescentNs: 100, ScanNs: 50}})
+	}
+	snap = j.ServeSnapshot()
+	if snap.Latency.Count != 5 || snap.Latency.Max != 10000 {
+		t.Fatalf("cumulative latency = %+v, want 5 observations up to 10000", snap.Latency)
+	}
+	if snap.Window.Window != 4 || snap.Window.P999 != 150 {
+		t.Fatalf("window = %+v, want the 4 retained fast queries", snap.Window)
+	}
+	if len(snap.Tail) != 4 || snap.Tail[0].LatencyNs != 150 {
+		t.Fatalf("tail = %+v, want only retained queries", snap.Tail)
+	}
+	if len(snap.LatencyExemplars) != 0 {
+		t.Fatalf("overwritten exemplar survived: %+v", snap.LatencyExemplars)
 	}
 }
 

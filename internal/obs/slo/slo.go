@@ -12,7 +12,7 @@
 // through obs.SetGauge. Sources over engine counters that are not
 // concurrency-safe (Batcher.Stats between Runs) stay correct because
 // the caller controls when Evaluate runs; sources over race-safe
-// telemetry (ServeRecorder snapshots) can instead drive a background
+// telemetry (journal snapshots, AtomicHist) can instead drive a background
 // Start loop. When an objective's trip condition transitions to firing
 // the evaluator invokes the OnTrip hook — the flight recorder's
 // actuation seam.
@@ -228,7 +228,7 @@ func (e *Evaluator) Statuses() []Status {
 
 // Start launches a background Evaluate loop at the given interval
 // (<=0 selects 10s). ONLY safe when every objective's Source is itself
-// safe to call concurrently with the traffic it observes (ServeRecorder
+// safe to call concurrently with the traffic it observes (journal
 // snapshots are; Batcher.Stats between Runs is not — drive that with
 // manual Evaluate calls instead). Stop with Close.
 func (e *Evaluator) Start(interval time.Duration) *Evaluator {

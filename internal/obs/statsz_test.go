@@ -21,20 +21,23 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // show up as a reviewed golden diff (go test ./internal/obs -update).
 // Counter VALUES are free to vary; only the shape is pinned.
 func TestStatszSchemaGolden(t *testing.T) {
-	// Populate one of everything the document can hold: a serve
-	// recorder with sampled traffic (histograms, window quantiles, tail
-	// samples with paths) and both labeled and unlabeled gauges.
-	rec := NewServeRecorder(ServeConfig{Every: true, Window: 16, Tail: 2}, 1)
-	s := rec.Strand(0)
-	path := []int32{0, 3, 9}
+	// Populate one of everything the document can hold: a journal with
+	// sampled traffic (histograms, window quantiles, traced tail events,
+	// exemplars) and both labeled and unlabeled gauges.
+	j := NewJournal(JournalConfig{SampleEvery: 1, PerStrand: 16}, 1)
+	s := j.Strand(0)
+	tc := GenTrace(3, 0)
 	for i := 0; i < 8; i++ {
-		s.NoteQueries(1)
-		if s.ShouldSample() {
-			s.Record(int64(1000+i*300), int64(400+i*100), 5+i, 11+i, i%3, path)
-		}
+		s.Publish([]JournalEvent{{
+			Batch: 1, Query: int32(i), Leaf: 9, Nodes: int32(5 + i), Scanned: int32(11 + i),
+			Reported: int32(i % 3), Sampled: s.ShouldSample(), Blocked: i%2 == 1,
+			DescentNs: int64(1000 + i*300), ScanNs: int64(400 + i*100),
+			TraceHi: tc.TraceHi, TraceLo: tc.TraceLo, Span: ChildSpan(tc.Span, uint64(i)),
+			StartNs: int64(1_700_000_000_000_000_000 + i),
+		}})
 	}
-	RegisterServe("statsz-golden", rec)
-	defer RegisterServe("statsz-golden", nil)
+	RegisterJournal("statsz-golden", j)
+	defer RegisterJournal("statsz-golden", nil)
 	SetGauge(GaugeKey{Name: "statsz_golden_plain"}, "", 1.5)
 	SetGauge(GaugeKey{Name: "statsz_golden_labeled", LabelName: "objective", LabelValue: "x"}, "", 2)
 	SetInfo("statsz_golden_info", "x")
@@ -54,7 +57,7 @@ func TestStatszSchemaGolden(t *testing.T) {
 	if serves, ok := doc["serves"].(map[string]any); ok {
 		mine, ok := serves["statsz-golden"]
 		if !ok {
-			t.Fatal("registered serve missing from statsz")
+			t.Fatal("registered journal missing from statsz")
 		}
 		doc["serves"] = map[string]any{"<name>": mine}
 	} else {

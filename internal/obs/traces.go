@@ -18,11 +18,10 @@ import (
 //     is cheap enough; the stored record is fixed-size (no strings), so
 //     the steady state allocates nothing.
 //
-//  2. Two retention tiers: a bounded ring of the most recent requests
-//     (the /traces endpoint's live view) and a slowest-N tail keyed to
-//     the SLO engine's interest — when a burn-rate trip fires, the
-//     flight bundle freezes both, so the traces worth keeping survive
-//     the traffic that overwrote everything else.
+//  2. One retention tier: a bounded ring of the most recent requests.
+//     The /traces endpoint serves it oldest first; the slowest view
+//     (?slowest=1, and the flight bundle's traces.jsonl when a burn-rate
+//     trip fires) is the same ring sorted by total latency at read time.
 //
 //  3. Hex trace/span ids are derived at read time, like the journal's
 //     Seq: the hot path moves two uint64s, the scrape path pays for the
@@ -63,7 +62,7 @@ func (rt *RequestTrace) render() {
 }
 
 // requestRec is the stored form of a RequestTrace: fixed size, no
-// strings, so ring and tail slots never allocate.
+// strings, so ring slots never allocate.
 type requestRec struct {
 	trace       TraceContext
 	startUnixNs int64
@@ -99,15 +98,9 @@ func (r *requestRec) export() RequestTrace {
 type TraceSinkConfig struct {
 	// Ring is the recent-request ring capacity. 0 selects 1024.
 	Ring int
-	// Tail is how many of the slowest requests to retain regardless of
-	// ring overwrites — the SLO-keyed evidence tier. 0 selects 32.
-	Tail int
 }
 
-const (
-	defaultTraceRing = 1024
-	defaultTraceTail = 32
-)
+const defaultTraceRing = 1024
 
 func (c TraceSinkConfig) ring() int {
 	if c.Ring <= 0 {
@@ -116,40 +109,21 @@ func (c TraceSinkConfig) ring() int {
 	return c.Ring
 }
 
-func (c TraceSinkConfig) tail() int {
-	if c.Tail <= 0 {
-		return defaultTraceTail
-	}
-	return c.Tail
-}
-
-// TraceSink is a bounded store of completed request traces. All methods
-// are nil-safe; Publish may race with Snapshot/Slowest/Retained.
+// TraceSink is a bounded ring of completed request traces. All methods
+// are nil-safe; Publish may race with Snapshot/Slowest/Find.
 type TraceSink struct {
-	cfg TraceSinkConfig
-
 	mu        sync.Mutex
 	ring      []requestRec
 	published uint64
-	tail      []requestRec // slowest-TotalNs retained requests
-	tailMin   int64        // smallest retained tail latency once full
 }
 
-// NewTraceSink returns a sink with pre-allocated ring and tail storage.
+// NewTraceSink returns a sink with pre-allocated ring storage.
 func NewTraceSink(cfg TraceSinkConfig) *TraceSink {
-	return &TraceSink{
-		cfg:  cfg,
-		ring: make([]requestRec, cfg.ring()),
-		tail: make([]requestRec, 0, cfg.tail()),
-	}
+	return &TraceSink{ring: make([]requestRec, cfg.ring())}
 }
 
-// Config returns the sink's resolved configuration.
-func (t *TraceSink) Config() TraceSinkConfig { return t.cfg }
-
-// Publish stores one completed request trace: always into the recent
-// ring, and into the slowest-N tail when it beats the admission
-// threshold. One mutex per request, zero allocations.
+// Publish stores one completed request trace into the ring. One mutex
+// per request, zero allocations.
 func (t *TraceSink) Publish(rt RequestTrace) {
 	if t == nil || !rt.Trace.Valid() {
 		return
@@ -169,33 +143,7 @@ func (t *TraceSink) Publish(rt RequestTrace) {
 	t.mu.Lock()
 	t.ring[t.published%uint64(len(t.ring))] = rec
 	t.published++
-	if len(t.tail) < cap(t.tail) {
-		t.tail = append(t.tail, rec)
-		if len(t.tail) == cap(t.tail) {
-			t.tailMin = tailMinOf(t.tail)
-		}
-	} else if rec.totalNs > t.tailMin {
-		// Displace the fastest retained request in place.
-		slot, min := 0, t.tail[0].totalNs
-		for i := 1; i < len(t.tail); i++ {
-			if t.tail[i].totalNs < min {
-				slot, min = i, t.tail[i].totalNs
-			}
-		}
-		t.tail[slot] = rec
-		t.tailMin = tailMinOf(t.tail)
-	}
 	t.mu.Unlock()
-}
-
-func tailMinOf(tail []requestRec) int64 {
-	min := tail[0].totalNs
-	for i := 1; i < len(tail); i++ {
-		if tail[i].totalNs < min {
-			min = tail[i].totalNs
-		}
-	}
-	return min
 }
 
 // Published returns how many request traces were ever published.
@@ -216,7 +164,7 @@ func (t *TraceSink) Snapshot() []RequestTrace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := uint64(len(t.ring))
-	from := t.published - min64(t.published, n)
+	from := t.published - min(t.published, n)
 	out := make([]RequestTrace, 0, t.published-from)
 	for pos := from; pos < t.published; pos++ {
 		out = append(out, t.ring[pos%n].export())
@@ -224,62 +172,25 @@ func (t *TraceSink) Snapshot() []RequestTrace {
 	return out
 }
 
-// Slowest returns the slowest retained requests, slowest first — the
-// tier a burn-rate trip freezes into the flight bundle.
+// Slowest returns the retained requests sorted by TotalNs, slowest
+// first — the view a burn-rate trip freezes into the flight bundle.
 func (t *TraceSink) Slowest() []RequestTrace {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	out := make([]RequestTrace, 0, len(t.tail))
-	for i := range t.tail {
-		out = append(out, t.tail[i].export())
-	}
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].TotalNs > out[j].TotalNs })
+	out := t.Snapshot()
+	sort.SliceStable(out, func(i, j int) bool { return out[i].TotalNs > out[j].TotalNs })
 	return out
 }
 
-// Retained returns the slowest-N tail followed by every recent-ring
-// request not already in it (slowest first, then oldest first) — the
-// flight bundle's traces.jsonl content: the traces worth keeping plus
-// the traffic around the trip.
-func (t *TraceSink) Retained() []RequestTrace {
-	if t == nil {
-		return nil
-	}
-	slow := t.Slowest()
-	seen := make(map[[3]uint64]bool, len(slow))
-	for i := range slow {
-		seen[traceKey(slow[i].Trace)] = true
-	}
-	for _, rt := range t.Snapshot() {
-		if !seen[traceKey(rt.Trace)] {
-			seen[traceKey(rt.Trace)] = true
-			slow = append(slow, rt)
-		}
-	}
-	return slow
-}
-
-// Find returns every retained request (tail or ring) whose 128-bit
-// trace id matches, oldest first.
+// Find returns every retained request whose 128-bit trace id matches,
+// oldest first.
 func (t *TraceSink) Find(hi, lo uint64) []RequestTrace {
-	if t == nil {
-		return nil
-	}
 	var out []RequestTrace
-	for _, rt := range t.Retained() {
+	for _, rt := range t.Snapshot() {
 		if rt.Trace.TraceHi == hi && rt.Trace.TraceLo == lo {
 			out = append(out, rt)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].StartUnixNs < out[j].StartUnixNs })
 	return out
-}
-
-func traceKey(tc TraceContext) [3]uint64 {
-	return [3]uint64{tc.TraceHi, tc.TraceLo, tc.Span}
 }
 
 // WriteRequestTracesJSONL renders request traces as JSON Lines, one

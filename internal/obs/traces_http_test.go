@@ -29,9 +29,9 @@ func httpGet(t *testing.T, srv *httptest.Server, path string) (*http.Response, s
 // TestTracesEndpointJSONL: /traces streams every retained request trace
 // as JSON Lines with the engine name, hex ids, and the publication count
 // in Sepdc-Traces-Published; ?id= narrows to one trace and ?slowest=1
-// returns the slow tail, slowest first.
+// returns the ring sorted slowest first.
 func TestTracesEndpointJSONL(t *testing.T) {
-	s := NewTraceSink(TraceSinkConfig{Ring: 8, Tail: 2})
+	s := NewTraceSink(TraceSinkConfig{Ring: 8})
 	for n := uint64(0); n < 3; n++ {
 		s.Publish(mkRequestTrace(n, int64(1000+n*100)))
 	}
@@ -88,28 +88,29 @@ func TestTracesEndpointJSONL(t *testing.T) {
 		t.Fatalf("id lookup: %+v", one)
 	}
 
-	// ?slowest=1 orders by total, slowest first.
+	// ?slowest=1 is the whole ring ordered by total, slowest first.
 	_, body = httpGet(t, srv, "/traces?name=httptraces&slowest=1")
 	lines = strings.Split(strings.TrimSpace(body), "\n")
-	if len(lines) != 2 {
+	if len(lines) != 3 {
 		t.Fatalf("slowest returned %d lines:\n%s", len(lines), body)
 	}
-	var a, b struct {
-		TotalNs int64 `json:"total_ns"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &b); err != nil {
-		t.Fatal(err)
-	}
-	if a.TotalNs < b.TotalNs {
-		t.Fatalf("slowest not slowest-first: %d then %d", a.TotalNs, b.TotalNs)
+	prev := int64(1 << 62)
+	for _, line := range lines {
+		var a struct {
+			TotalNs int64 `json:"total_ns"`
+		}
+		if err := json.Unmarshal([]byte(line), &a); err != nil {
+			t.Fatal(err)
+		}
+		if a.TotalNs > prev {
+			t.Fatalf("slowest not slowest-first: %d after %d", a.TotalNs, prev)
+		}
+		prev = a.TotalNs
 	}
 
 	// Malformed ids are rejected before any sink is consulted.
 	for _, bad := range []string{
-		"deadbeef", // too short
+		"deadbeef",                         // too short
 		"zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzz", // non-hex
 		"00000000000000000000000000000000", // all-zero
 	} {
@@ -126,7 +127,7 @@ func TestTracesEndpointJSONL(t *testing.T) {
 // traces the sink no longer retains.
 func TestTracesChromeEndpoint(t *testing.T) {
 	tc := GenTrace(21, 0)
-	s := NewTraceSink(TraceSinkConfig{Ring: 8, Tail: 2})
+	s := NewTraceSink(TraceSinkConfig{Ring: 8})
 	req := RequestTrace{
 		Trace:       tc,
 		StartUnixNs: 5_000_000, QueueNs: 100, CoalesceNs: 200, PassNs: 300, TotalNs: 700,
@@ -241,12 +242,16 @@ func TestMetricsLatencyExemplar(t *testing.T) {
 	if !ok {
 		t.Fatal("test vector rejected")
 	}
-	rec := NewServeRecorder(ServeConfig{Every: true, Window: 16, Tail: 2}, 1)
-	s := rec.Strand(0)
-	s.NoteQueries(1)
-	s.RecordTraced(400, 212, 5, 9, 2, []int32{0, 1}, tc, 1_700_000_000_250_000_000)
-	RegisterServe("exemplareng", rec)
-	defer RegisterServe("exemplareng", nil)
+	j := NewJournal(JournalConfig{SampleEvery: 1, PerStrand: 16}, 1)
+	s := j.Strand(0)
+	s.Publish([]JournalEvent{{
+		Batch: 1, Leaf: 1, Nodes: 2, Scanned: 9, Reported: 2,
+		Sampled: s.ShouldSample(), DescentNs: 400, ScanNs: 212,
+		TraceHi: tc.TraceHi, TraceLo: tc.TraceLo, Span: tc.Span,
+		StartNs: 1_700_000_000_250_000_000,
+	}})
+	RegisterJournal("exemplareng", j)
+	defer RegisterJournal("exemplareng", nil)
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -293,24 +298,28 @@ func TestMetricsLatencyExemplar(t *testing.T) {
 }
 
 // TestMetricsExemplarOnEmptyHistogram: a query timed only because its
-// request carried a sampled traceparent records its exemplar WITHOUT
-// feeding the aggregate histogram (RecordExemplar). The exposition must
+// request carried a sampled traceparent (a Forced event) supplies an
+// exemplar WITHOUT feeding the aggregate histogram. The exposition must
 // still carry that exemplar — the bucket it names is synthesized as a
 // zero-count cumulative point — and survive the linter. This is the
-// fresh-recorder-after-swap serving state: the first scrape after a
-// traced request, before any tick-sampled observation lands.
+// fresh-observer serving state: the first scrape after a traced
+// request, before any tick-sampled observation lands.
 func TestMetricsExemplarOnEmptyHistogram(t *testing.T) {
 	const hdr = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 	tc, ok := ParseTraceparent(hdr)
 	if !ok {
 		t.Fatal("test vector rejected")
 	}
-	rec := NewServeRecorder(ServeConfig{SampleShift: 20}, 1)
-	s := rec.Strand(0)
-	s.NoteQueries(3)
-	s.RecordExemplar(700, tc, 1_700_000_000_000_000_000)
-	RegisterServe("forcedeng", rec)
-	defer RegisterServe("forcedeng", nil)
+	j := NewJournal(JournalConfig{SampleEvery: 1 << 20}, 1)
+	s := j.Strand(0)
+	s.Publish([]JournalEvent{
+		{Batch: 1, Query: 0},
+		{Batch: 1, Query: 1, Sampled: true, Forced: true, DescentNs: 500, ScanNs: 200,
+			TraceHi: tc.TraceHi, TraceLo: tc.TraceLo, StartNs: 1_700_000_000_000_000_000},
+		{Batch: 1, Query: 2},
+	})
+	RegisterJournal("forcedeng", j)
+	defer RegisterJournal("forcedeng", nil)
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()

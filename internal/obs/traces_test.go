@@ -16,13 +16,19 @@ func mkRequestTrace(n uint64, totalNs int64) RequestTrace {
 	}
 }
 
+// TestTraceSinkRingAndTail: the ring keeps the newest requests, and the
+// slowest view is that same ring sorted by total latency — a slow
+// request overwritten out of the ring leaves both views.
 func TestTraceSinkRingAndTail(t *testing.T) {
-	s := NewTraceSink(TraceSinkConfig{Ring: 4, Tail: 2})
-	// Publish 8: ring keeps the newest 4; tail keeps the 2 slowest.
+	s := NewTraceSink(TraceSinkConfig{Ring: 4})
+	// Publish 8: the ring keeps the newest 4.
 	for n := uint64(0); n < 8; n++ {
 		total := int64(100 + n*10)
-		if n == 2 {
+		switch n {
+		case 2:
 			total = 9000 // the slowest request, overwritten in the ring
+		case 5:
+			total = 5000 // the slowest retained one
 		}
 		s.Publish(mkRequestTrace(n, total))
 	}
@@ -43,37 +49,26 @@ func TestTraceSinkRingAndTail(t *testing.T) {
 		}
 	}
 	slow := s.Slowest()
-	if len(slow) != 2 {
-		t.Fatalf("tail retained %d, want 2", len(slow))
+	if len(slow) != 4 {
+		t.Fatalf("slowest view has %d requests, want the 4 retained", len(slow))
 	}
-	if slow[0].TotalNs != 9000 || slow[0].Trace != GenTrace(7, 2) {
-		t.Fatalf("slowest is %+v, want overwritten request 2 at 9000ns", slow[0])
+	if slow[0].TotalNs != 5000 || slow[0].Trace != GenTrace(7, 5) {
+		t.Fatalf("slowest is %+v, want retained request 5 at 5000ns", slow[0])
 	}
-	if slow[1].TotalNs >= slow[0].TotalNs {
-		t.Fatalf("tail not slowest-first: %d then %d", slow[0].TotalNs, slow[1].TotalNs)
-	}
-
-	// Retained = tail ∪ ring without duplicates; request 2 survives only
-	// through the tail.
-	ret := s.Retained()
-	seen := map[string]int{}
-	for _, rt := range ret {
-		seen[rt.TraceID]++
-	}
-	for id, c := range seen {
-		if c != 1 {
-			t.Fatalf("trace %s appears %d times in Retained", id, c)
+	for i := 1; i < len(slow); i++ {
+		if slow[i].TotalNs > slow[i-1].TotalNs {
+			t.Fatalf("slowest view not slowest-first: %d then %d", slow[i-1].TotalNs, slow[i].TotalNs)
 		}
 	}
-	if seen[GenTrace(7, 2).TraceIDString()] != 1 {
-		t.Fatal("tail-only request 2 missing from Retained")
-	}
 
-	// Find by 128-bit id.
-	tc := GenTrace(7, 2)
+	// Find by 128-bit id, over the ring only.
+	tc := GenTrace(7, 5)
 	found := s.Find(tc.TraceHi, tc.TraceLo)
-	if len(found) != 1 || found[0].TotalNs != 9000 {
+	if len(found) != 1 || found[0].TotalNs != 5000 {
 		t.Fatalf("Find: %+v", found)
+	}
+	if gone := GenTrace(7, 2); len(s.Find(gone.TraceHi, gone.TraceLo)) != 0 {
+		t.Fatal("Find returned a request overwritten out of the ring")
 	}
 	if got := s.Find(0xdead, 0xbeef); len(got) != 0 {
 		t.Fatalf("Find(unknown) = %+v", got)
@@ -81,7 +76,7 @@ func TestTraceSinkRingAndTail(t *testing.T) {
 }
 
 func TestTraceSinkDropsInvalidAndNilSafe(t *testing.T) {
-	s := NewTraceSink(TraceSinkConfig{Ring: 4, Tail: 2})
+	s := NewTraceSink(TraceSinkConfig{Ring: 4})
 	s.Publish(RequestTrace{TotalNs: 100}) // zero trace context
 	if s.Published() != 0 || len(s.Snapshot()) != 0 {
 		t.Fatal("invalid trace was stored")
@@ -89,13 +84,13 @@ func TestTraceSinkDropsInvalidAndNilSafe(t *testing.T) {
 	var nilSink *TraceSink
 	nilSink.Publish(mkRequestTrace(1, 100))
 	if nilSink.Published() != 0 || nilSink.Snapshot() != nil ||
-		nilSink.Slowest() != nil || nilSink.Retained() != nil || nilSink.Find(1, 2) != nil {
+		nilSink.Slowest() != nil || nilSink.Find(1, 2) != nil {
 		t.Fatal("nil sink not inert")
 	}
 }
 
 func TestTraceSinkPublishZeroAlloc(t *testing.T) {
-	s := NewTraceSink(TraceSinkConfig{Ring: 64, Tail: 8})
+	s := NewTraceSink(TraceSinkConfig{Ring: 64})
 	rt := mkRequestTrace(3, 500)
 	if avg := testing.AllocsPerRun(200, func() { s.Publish(rt) }); avg != 0 {
 		t.Fatalf("%v allocs per Publish, want 0", avg)
@@ -103,12 +98,12 @@ func TestTraceSinkPublishZeroAlloc(t *testing.T) {
 }
 
 func TestWriteRequestTracesJSONL(t *testing.T) {
-	s := NewTraceSink(TraceSinkConfig{Ring: 8, Tail: 2})
+	s := NewTraceSink(TraceSinkConfig{Ring: 8})
 	for n := uint64(0); n < 3; n++ {
 		s.Publish(mkRequestTrace(n, int64(100+n)))
 	}
 	var buf bytes.Buffer
-	if err := WriteRequestTracesJSONL(&buf, s.Retained()); err != nil {
+	if err := WriteRequestTracesJSONL(&buf, s.Slowest()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

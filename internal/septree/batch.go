@@ -67,20 +67,18 @@ type batchShard struct {
 	queries int64
 	nodes   int64
 	scanned int64
-	// serve is this strand's slot in the attached telemetry recorder
-	// (nil when no observer is attached — every call through it then
-	// costs one nil check). path is the descent-path scratch the
-	// sampled timed queries reuse; it never shrinks, so steady state
+	// journal is this strand's slot in the attached serving journal
+	// (nil when none is attached — the sample tick then costs one nil
+	// check per query and publishing one branch per chunk). jbuf is the
+	// chunk's event scratch: filled with plain stores while answering,
+	// published to the ring with one lock + one copy per chunk, so
+	// journaling every query costs low single-digit nanoseconds
+	// amortized and zero allocations. path is the descent-path scratch
+	// the timed queries reuse; it never shrinks, so steady state
 	// records without allocating.
-	serve *obs.ServeStrand
-	path  []int32
-	// journal is this strand's slot in the attached wide-event journal
-	// (nil = one branch per chunk). jbuf is the chunk's event scratch:
-	// filled with plain stores while answering, published to the ring
-	// with one lock + one copy per chunk, so journaling every query
-	// costs low single-digit nanoseconds amortized and zero allocations.
 	journal *obs.JournalStrand
 	jbuf    [batchChunk]obs.JournalEvent
+	path    []int32
 	// Query-blocking scratch (allocated by SetBlockWidth, reused across
 	// runs). leaves/qnodes/done hold the current chunk's descent results;
 	// qs and outs are the lane views handed to scanLeafBlock — outs lanes
@@ -136,31 +134,21 @@ func NewBatch(f *Frozen, workers int) *Batch {
 // Workers returns the engine's strand count.
 func (b *Batch) Workers() int { return len(b.shards) }
 
-// Observe attaches a serving telemetry recorder: each strand records
-// into its own recorder slot (exact query counts per chunk; phase-split
-// timed samples at the recorder's sampling rate; slowest-query tail with
-// descent paths). A nil recorder detaches. Not safe to call concurrently
-// with Run; results of timed queries are bit-identical to untimed ones.
-func (b *Batch) Observe(r *obs.ServeRecorder) {
-	r.Ensure(len(b.shards))
-	for i := range b.shards {
-		b.shards[i].serve = r.Strand(i) // nil recorder hands out nil strands
-		if b.shards[i].path == nil && r != nil {
-			b.shards[i].path = make([]int32, 0, 64)
-		}
-	}
-}
-
-// Journal attaches a wide-event journal: each strand publishes one
+// Observe attaches a serving journal: each strand publishes one
 // fixed-size structured event per served query (batch/query ids,
 // destination leaf where known, descent depth, candidates scanned,
-// balls reported, phase-split latency for sampled queries) into its own
-// bounded ring, one lock per chunk. A nil journal detaches. Not safe to
-// call concurrently with Run; answers are unaffected.
-func (b *Batch) Journal(j *obs.Journal) {
+// balls reported, phase-split latency for the timed queries) into its
+// own bounded ring, one lock per chunk, and the journal folds the
+// tick-sampled events into its counts and histograms. A nil journal
+// detaches. Not safe to call concurrently with Run; results of timed
+// queries are bit-identical to untimed ones.
+func (b *Batch) Observe(j *obs.Journal) {
 	j.Ensure(len(b.shards))
 	for i := range b.shards {
 		b.shards[i].journal = j.Strand(i) // nil journal hands out nil strands
+		if b.shards[i].path == nil && j != nil {
+			b.shards[i].path = make([]int32, 0, 64)
+		}
 	}
 }
 
@@ -341,17 +329,17 @@ func (b *Batch) strand(id int) {
 			// A client-sampled trace forces the timed path; the strand's
 			// own tick still advances so the deterministic cadence of
 			// untraced sampling is unchanged. Only tick-selected queries
-			// feed the recorder's aggregates — a forced query records its
-			// exemplar and journal timing only, so traced traffic cannot
+			// feed the journal's aggregates — a forced query is marked
+			// so, and feeds only the exemplars, so traced traffic cannot
 			// skew the sampled statistics.
-			tick := sh.serve.ShouldSample()
+			tick := sh.journal.ShouldSample()
 			sampled := tick || tc.Sampled
 			if sampled {
 				// Sampled timed path: phase-split clock reads bracket the
-				// descent and the leaf scan separately, and the descent
-				// route is captured for the tail sampler. Identical
-				// answers — DescendPath/ScanLeaf are the two halves the
-				// covering kernels are built from.
+				// descent and the leaf scan separately, and the event
+				// records the destination leaf. Identical answers —
+				// DescendPath/ScanLeaf are the two halves the covering
+				// kernels are built from.
 				q := b.queries[qi]
 				t0 := time.Now()
 				lf, path := f.DescendPath(q, sh.path[:0])
@@ -364,13 +352,6 @@ func (b *Batch) strand(id int) {
 				descNs, scanNs = t1.Sub(t0).Nanoseconds(), t2.Sub(t1).Nanoseconds()
 				if tc.Valid() {
 					startNs = t0.UnixNano()
-					if tick {
-						sh.serve.RecordTraced(descNs, scanNs, nodes, scanned, len(sh.ids)-before, path, tc, startNs)
-					} else {
-						sh.serve.RecordExemplar(descNs+scanNs, tc, startNs)
-					}
-				} else {
-					sh.serve.Record(descNs, scanNs, nodes, scanned, len(sh.ids)-before, path)
 				}
 			} else if closed {
 				sh.ids, nodes, scanned = f.CoveringClosed(b.queries[qi], sh.ids)
@@ -385,7 +366,8 @@ func (b *Batch) strand(id int) {
 				sh.jbuf[qi-lo] = obs.JournalEvent{
 					Batch: b.curBatch, Query: int32(qi), Leaf: leaf,
 					Nodes: int32(nodes), Scanned: int32(scanned),
-					Reported: int32(len(sh.ids) - before), Sampled: sampled,
+					Reported: int32(len(sh.ids) - before),
+					Sampled:  sampled, Forced: sampled && !tick,
 					LatencyNs: descNs + scanNs, DescentNs: descNs, ScanNs: scanNs,
 					TraceHi: tc.TraceHi, TraceLo: tc.TraceLo, Span: qspan,
 					StartNs: startNs,
@@ -395,7 +377,6 @@ func (b *Batch) strand(id int) {
 		if jn {
 			sh.journal.Publish(sh.jbuf[:hi-lo])
 		}
-		sh.serve.NoteQueries(hi - lo)
 	}
 }
 
@@ -435,7 +416,7 @@ func (b *Batch) strandBlocked(id int) {
 			qi := lo + int64(k)
 			q := b.queries[qi]
 			tc, qspan := traceOf(tr, qi)
-			tick := sh.serve.ShouldSample()
+			tick := sh.journal.ShouldSample()
 			if tick || tc.Sampled {
 				before := len(sh.ids)
 				t0 := time.Now()
@@ -449,15 +430,6 @@ func (b *Batch) strandBlocked(id int) {
 				var startNs int64
 				if tc.Valid() {
 					startNs = t0.UnixNano()
-					if tick {
-						sh.serve.RecordTraced(descNs, scanNs,
-							len(path), scanned, len(sh.ids)-before, path, tc, startNs)
-					} else {
-						sh.serve.RecordExemplar(descNs+scanNs, tc, startNs)
-					}
-				} else {
-					sh.serve.Record(descNs, scanNs,
-						len(path), scanned, len(sh.ids)-before, path)
 				}
 				b.spans[qi] = span{shard: int32(id), start: int32(before), end: int32(len(sh.ids))}
 				sh.queries++
@@ -468,7 +440,8 @@ func (b *Batch) strandBlocked(id int) {
 					sh.jbuf[k] = obs.JournalEvent{
 						Batch: b.curBatch, Query: int32(qi), Leaf: leaf,
 						Nodes: int32(len(path)), Scanned: int32(scanned),
-						Reported: int32(len(sh.ids) - before), Sampled: true,
+						Reported: int32(len(sh.ids) - before),
+						Sampled:  true, Forced: !tick,
 						LatencyNs: descNs + scanNs, DescentNs: descNs, ScanNs: scanNs,
 						TraceHi: tc.TraceHi, TraceLo: tc.TraceLo, Span: qspan,
 						StartNs: startNs,
@@ -544,7 +517,6 @@ func (b *Batch) strandBlocked(id int) {
 		if jn {
 			sh.journal.Publish(sh.jbuf[:cn])
 		}
-		sh.serve.NoteQueries(hi - lo)
 	}
 }
 

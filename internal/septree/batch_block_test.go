@@ -52,7 +52,7 @@ func TestBlockedBatchIdenticalResults(t *testing.T) {
 }
 
 // TestBlockedBatchObservedIdentical runs the blocked engine with a
-// recorder timing every query — which forces every query onto the
+// journal timing every query — which forces every query onto the
 // individual sampled path — against an unobserved blocked engine and an
 // unobserved sequential one. All three must agree: sampling changes
 // which scan routine answers a query, never the answer.
@@ -68,8 +68,8 @@ func TestBlockedBatchObservedIdentical(t *testing.T) {
 	blk.SetBlockWidth(4)
 	obsBlk := NewBatch(f, 4)
 	obsBlk.SetBlockWidth(4)
-	rec := obs.NewServeRecorder(obs.ServeConfig{Every: true}, 4)
-	obsBlk.Observe(rec)
+	j := obs.NewJournal(obs.JournalConfig{SampleEvery: 1}, 4)
+	obsBlk.Observe(j)
 	seq.Run(queries)
 	blk.Run(queries)
 	obsBlk.Run(queries)
@@ -79,8 +79,8 @@ func TestBlockedBatchObservedIdentical(t *testing.T) {
 				i, seq.Result(i), blk.Result(i), obsBlk.Result(i))
 		}
 	}
-	if snap := rec.Snapshot(); snap.Queries != int64(len(queries)) {
-		t.Fatalf("recorder saw %d queries, want %d", snap.Queries, len(queries))
+	if snap := j.ServeSnapshot(); snap.Queries != int64(len(queries)) {
+		t.Fatalf("journal saw %d queries, want %d", snap.Queries, len(queries))
 	}
 }
 
@@ -100,7 +100,7 @@ func TestBlockedBatchZeroAllocSteadyState(t *testing.T) {
 				b := NewBatch(f, workers)
 				b.SetBlockWidth(8)
 				if observed {
-					b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers))
+					b.Observe(obs.NewJournal(obs.JournalConfig{SampleEvery: 4}, workers))
 				}
 				for warm := 0; warm < 3; warm++ {
 					b.Run(queries)

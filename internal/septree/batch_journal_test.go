@@ -10,7 +10,7 @@ import (
 
 // TestJournaledBatchIdenticalResults: attaching a journal must not
 // change a single answer or engine counter, in every serving mode
-// (sequential, parallel, blocked, observed+journaled together).
+// (sequential, parallel, blocked).
 func TestJournaledBatchIdenticalResults(t *testing.T) {
 	tree, pts := buildUniform(t, 1200, 3, 3, 29, nil)
 	f, err := Freeze(tree)
@@ -24,8 +24,7 @@ func TestJournaledBatchIdenticalResults(t *testing.T) {
 			plain.SetBlockWidth(blockW)
 			journaled := NewBatch(f, workers)
 			journaled.SetBlockWidth(blockW)
-			journaled.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers))
-			journaled.Journal(obs.NewJournal(obs.JournalConfig{PerStrand: 512}, workers))
+			journaled.Observe(obs.NewJournal(obs.JournalConfig{SampleEvery: 4, PerStrand: 512}, workers))
 			for _, closed := range []bool{false, true} {
 				if closed {
 					plain.RunClosed(queries)
@@ -63,11 +62,10 @@ func TestJournaledBatchEventCorrectness(t *testing.T) {
 	for _, blockW := range []int{1, 4} {
 		b := NewBatch(f, 4)
 		b.SetBlockWidth(blockW)
-		b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, 4))
 		// Big enough that even one strand serving the whole load (pool
 		// degraded to inline on a saturated box) keeps both Runs' events.
-		j := obs.NewJournal(obs.JournalConfig{PerStrand: 2048}, 4)
-		b.Journal(j)
+		j := obs.NewJournal(obs.JournalConfig{SampleEvery: 4, PerStrand: 2048}, 4)
+		b.Observe(j)
 		b.Run(queries)
 		b.Run(queries)
 
@@ -141,9 +139,9 @@ func TestJournaledBatchEventCorrectness(t *testing.T) {
 }
 
 // TestJournaledBatchZeroAllocSteadyState extends the zero-alloc
-// assertion to the journaled path: recorder AND journal attached, warm
-// Runs must not allocate — the acceptance bar for leaving the flight
-// recorder on in production.
+// assertion to the journaled path: a journal attached with sampling
+// live, warm Runs must not allocate — the acceptance bar for leaving the
+// flight recorder on in production.
 func TestJournaledBatchZeroAllocSteadyState(t *testing.T) {
 	tree, pts := buildUniform(t, 2000, 2, 3, 5, nil)
 	f, err := Freeze(tree)
@@ -155,8 +153,7 @@ func TestJournaledBatchZeroAllocSteadyState(t *testing.T) {
 		for _, blockW := range []int{1, 4} {
 			b := NewBatch(f, workers)
 			b.SetBlockWidth(blockW)
-			b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers))
-			b.Journal(obs.NewJournal(obs.JournalConfig{PerStrand: 1024}, workers))
+			b.Observe(obs.NewJournal(obs.JournalConfig{SampleEvery: 4, PerStrand: 1024}, workers))
 			for warm := 0; warm < 3; warm++ {
 				b.Run(queries)
 			}
@@ -220,12 +217,12 @@ func TestJournalDetach(t *testing.T) {
 	queries := queryMix(pts, 2, 64, 5)
 	b := NewBatch(f, 2)
 	j := obs.NewJournal(obs.JournalConfig{PerStrand: 256}, 2)
-	b.Journal(j)
+	b.Observe(j)
 	b.Run(queries)
 	if d := j.Snapshot(); d.Published != uint64(len(queries)) {
 		t.Fatalf("published %d, want %d", d.Published, len(queries))
 	}
-	b.Journal(nil)
+	b.Observe(nil)
 	b.Run(queries)
 	if d := j.Snapshot(); d.Published != uint64(len(queries)) {
 		t.Fatalf("detached engine still published: %d", d.Published)
@@ -235,7 +232,7 @@ func TestJournalDetach(t *testing.T) {
 // BenchmarkJournaledBatch times steady-state serving with and without
 // the journal attached — the per-query cost of wide-event emission in
 // isolation (the BENCH_knn.json obs_overhead section measures the same
-// thing end-to-end with the observer also attached).
+// thing end-to-end, with and without tracing).
 func BenchmarkJournaledBatch(b *testing.B) {
 	tree, pts := buildUniform(b, 100000, 2, 4, 1, nil)
 	f, err := Freeze(tree)
@@ -247,7 +244,7 @@ func BenchmarkJournaledBatch(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			bt := NewBatch(f, 1)
 			if mode == "journal" {
-				bt.Journal(obs.NewJournal(obs.JournalConfig{}, 1))
+				bt.Observe(obs.NewJournal(obs.JournalConfig{}, 1))
 			}
 			bt.Run(queries)
 			b.ResetTimer()

@@ -6,7 +6,7 @@ import (
 	"sepdc/internal/obs"
 )
 
-// TestObservedBatchIdenticalResults: with a recorder timing EVERY query
+// TestObservedBatchIdenticalResults: with a journal timing EVERY query
 // (the worst case for divergence), answers and counter accounting must
 // be bit-identical to an unobserved engine — the sampled timed path is
 // the same two kernels the covering paths are built from.
@@ -21,7 +21,7 @@ func TestObservedBatchIdenticalResults(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			plain := NewBatch(f, workers)
 			observed := NewBatch(f, workers)
-			observed.Observe(obs.NewServeRecorder(obs.ServeConfig{Every: true}, workers))
+			observed.Observe(obs.NewJournal(obs.JournalConfig{SampleEvery: 1}, workers))
 			for _, closed := range []bool{false, true} {
 				if closed {
 					plain.RunClosed(queries)
@@ -45,9 +45,9 @@ func TestObservedBatchIdenticalResults(t *testing.T) {
 	}
 }
 
-// TestObservedBatchTelemetry: the recorder sees exact query counts, a
-// plausible sampled latency distribution, and tail samples whose
-// descent paths are real root-to-leaf routes.
+// TestObservedBatchTelemetry: the journal sees exact query counts, a
+// plausible sampled latency distribution, and tail events whose leaf
+// and depth are the query's real root-to-leaf route.
 func TestObservedBatchTelemetry(t *testing.T) {
 	tree, pts := buildUniform(t, 1500, 2, 3, 7, nil)
 	f, err := Freeze(tree)
@@ -55,13 +55,13 @@ func TestObservedBatchTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := queryMix(pts, 2, 512, 13)
-	rec := obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2, Window: 256, Tail: 4}, 0)
+	j := obs.NewJournal(obs.JournalConfig{SampleEvery: 4}, 0)
 	b := NewBatch(f, 4)
-	b.Observe(rec)
+	b.Observe(j)
 	for i := 0; i < 4; i++ {
 		b.Run(queries)
 	}
-	snap := rec.Snapshot()
+	snap := j.ServeSnapshot()
 	if snap.Queries != int64(4*len(queries)) {
 		t.Fatalf("queries = %d, want %d", snap.Queries, 4*len(queries))
 	}
@@ -80,34 +80,30 @@ func TestObservedBatchTelemetry(t *testing.T) {
 		t.Fatalf("nodes hist out of range: %+v", snap.Nodes)
 	}
 	if len(snap.Tail) == 0 {
-		t.Fatal("no tail samples retained")
+		t.Fatal("no tail events retained")
 	}
-	for _, ts := range snap.Tail {
-		if ts.LatencyNs != ts.DescentNs+ts.ScanNs {
-			t.Fatalf("tail latency %d != descent %d + scan %d", ts.LatencyNs, ts.DescentNs, ts.ScanNs)
+	for _, ev := range snap.Tail {
+		if ev.LatencyNs != ev.DescentNs+ev.ScanNs || !ev.Sampled {
+			t.Fatalf("tail latency %d != descent %d + scan %d", ev.LatencyNs, ev.DescentNs, ev.ScanNs)
 		}
-		if len(ts.Path) != ts.Nodes {
-			t.Fatalf("tail path len %d != nodes visited %d", len(ts.Path), ts.Nodes)
-		}
-		if ts.Path[0] != 0 {
-			t.Fatalf("tail path does not start at the root: %v", ts.Path)
-		}
-		leaf := ts.Path[len(ts.Path)-1]
-		if n := int(leaf); n < 0 || n >= f.NumNodes() {
-			t.Fatalf("tail path leaf %d out of range", leaf)
+		// The leaf names the unique root-to-leaf descent.
+		leaf, path := f.DescendPath(queries[ev.Query], nil)
+		if ev.Leaf != leaf || int(ev.Nodes) != len(path) || path[0] != 0 {
+			t.Fatalf("tail event leaf %d depth %d, descent reaches %d in %d nodes",
+				ev.Leaf, ev.Nodes, leaf, len(path))
 		}
 	}
 	// Detach: telemetry stops, serving continues.
 	b.Observe(nil)
 	b.Run(queries)
-	after := rec.Snapshot()
+	after := j.ServeSnapshot()
 	if after.Queries != snap.Queries {
 		t.Fatalf("detached engine still recorded: %d -> %d", snap.Queries, after.Queries)
 	}
 }
 
 // TestObservedBatchZeroAllocSteadyState extends the tier-1 zero-alloc
-// assertion to the instrumented path: with a recorder attached and
+// assertion to the instrumented path: with a journal attached and
 // sampling live, a warm Run must not allocate.
 func TestObservedBatchZeroAllocSteadyState(t *testing.T) {
 	tree, pts := buildUniform(t, 2000, 2, 3, 5, nil)
@@ -118,7 +114,7 @@ func TestObservedBatchZeroAllocSteadyState(t *testing.T) {
 	queries := queryMix(pts, 2, 256, 9)
 	for _, workers := range []int{1, 4} {
 		b := NewBatch(f, workers)
-		b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers))
+		b.Observe(obs.NewJournal(obs.JournalConfig{SampleEvery: 4}, workers))
 		for warm := 0; warm < 3; warm++ {
 			b.Run(queries)
 		}

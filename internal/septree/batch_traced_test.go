@@ -27,11 +27,11 @@ func mkTraces(n, reqSize int, seed uint64, sampleEvery, untracedEvery int) []obs
 }
 
 // TestTracedBatchIdenticalResults: threading trace contexts through a
-// run must not change a single answer, engine counter, or recorder
+// run must not change a single answer, engine counter, or journal
 // statistic, in every serving mode and with traced, untraced, and
-// sampled requests mixed. (Client-sampled queries record only their
-// exemplar — the recorder's deterministic 1-in-SampleEvery aggregates
-// must be untouched by who traces what.)
+// sampled requests mixed. (Client-sampled queries are Forced events that
+// feed only the exemplars — the journal's deterministic 1-in-SampleEvery
+// aggregates must be untouched by who traces what.)
 func TestTracedBatchIdenticalResults(t *testing.T) {
 	tree, pts := buildUniform(t, 1200, 3, 3, 29, nil)
 	f, err := Freeze(tree)
@@ -42,15 +42,14 @@ func TestTracedBatchIdenticalResults(t *testing.T) {
 	traces := mkTraces(len(queries), 8, 77, 4, 5)
 	for _, workers := range []int{1, 4} {
 		for _, blockW := range []int{1, 4} {
-			plainRec := obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers)
-			tracedRec := obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers)
+			plainRec := obs.NewJournal(obs.JournalConfig{SampleEvery: 4, PerStrand: 512}, workers)
+			tracedRec := obs.NewJournal(obs.JournalConfig{SampleEvery: 4, PerStrand: 512}, workers)
 			plain := NewBatch(f, workers)
 			plain.SetBlockWidth(blockW)
 			plain.Observe(plainRec)
 			traced := NewBatch(f, workers)
 			traced.SetBlockWidth(blockW)
 			traced.Observe(tracedRec)
-			traced.Journal(obs.NewJournal(obs.JournalConfig{PerStrand: 512}, workers))
 			for _, closed := range []bool{false, true} {
 				if closed {
 					plain.RunClosed(queries)
@@ -72,12 +71,13 @@ func TestTracedBatchIdenticalResults(t *testing.T) {
 					workers, blockW, b, a)
 			}
 			// With one worker the per-strand sample cadence is fully
-			// deterministic: the traced recorder's aggregates must match
-			// an untraced recorder over the same stream exactly.
+			// deterministic: the traced journal's aggregates must match
+			// an untraced journal over the same stream exactly, and so
+			// must the ring-derived window.
 			if workers == 1 {
-				ps, ts := plainRec.Snapshot(), tracedRec.Snapshot()
+				ps, ts := plainRec.ServeSnapshot(), tracedRec.ServeSnapshot()
 				if ps.Queries != ts.Queries || ps.Sampled != ts.Sampled ||
-					ps.Latency.Count != ts.Latency.Count {
+					ps.Latency.Count != ts.Latency.Count || ps.Window.Window != ts.Window.Window {
 					t.Fatalf("blockW=%d: tracing skewed recorder stats: plain queries=%d sampled=%d count=%d, traced queries=%d sampled=%d count=%d",
 						blockW, ps.Queries, ps.Sampled, ps.Latency.Count,
 						ts.Queries, ts.Sampled, ts.Latency.Count)
@@ -102,9 +102,8 @@ func TestTracedBatchJournalStamps(t *testing.T) {
 	for _, blockW := range []int{1, 4} {
 		b := NewBatch(f, 4)
 		b.SetBlockWidth(blockW)
-		b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, 4))
-		j := obs.NewJournal(obs.JournalConfig{PerStrand: 2048}, 4)
-		b.Journal(j)
+		j := obs.NewJournal(obs.JournalConfig{SampleEvery: 4, PerStrand: 2048}, 4)
+		b.Observe(j)
 		b.RunTraced(queries, traces)
 
 		d := j.Snapshot()
@@ -114,6 +113,9 @@ func TestTracedBatchJournalStamps(t *testing.T) {
 		tracedEvents, sampledTraced := 0, 0
 		for _, ev := range d.Events {
 			tc := traces[ev.Query]
+			if ev.Forced && (!tc.Sampled || !ev.Sampled) {
+				t.Fatalf("blockW=%d: query %d forced without a sampled trace: %+v", blockW, ev.Query, ev)
+			}
 			if !tc.Valid() {
 				if ev.Traced() || ev.TraceID != "" || ev.SpanID != "" {
 					t.Fatalf("blockW=%d: untraced query %d carries trace fields: %+v", blockW, ev.Query, ev)
@@ -152,7 +154,7 @@ func TestTracedBatchJournalStamps(t *testing.T) {
 }
 
 // TestTracedBatchZeroAllocSteadyState: the fully traced instrumented
-// path — recorder, journal, and a trace context on every query — must
+// path — journal attached and a trace context on every query — must
 // serve warm batches with zero allocations, the same bar the untraced
 // journaled path holds.
 func TestTracedBatchZeroAllocSteadyState(t *testing.T) {
@@ -167,8 +169,7 @@ func TestTracedBatchZeroAllocSteadyState(t *testing.T) {
 		for _, blockW := range []int{1, 4} {
 			b := NewBatch(f, workers)
 			b.SetBlockWidth(blockW)
-			b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers))
-			b.Journal(obs.NewJournal(obs.JournalConfig{PerStrand: 1024}, workers))
+			b.Observe(obs.NewJournal(obs.JournalConfig{SampleEvery: 4, PerStrand: 1024}, workers))
 			for warm := 0; warm < 3; warm++ {
 				b.RunTraced(queries, traces)
 			}

@@ -24,197 +24,117 @@ func KernelInfo() (tier, cpuFeatures string) {
 }
 
 // This file is the public face of the serving-grade observability layer:
-// a ServeObserver that a Batcher streams per-query telemetry into, a
-// MetricsHandler exposing everything as Prometheus text + JSON, and the
-// paper-invariant Audit entry point. The build-side story (Options.
+// a ServeObserver that a Batcher streams one wide event per query into,
+// a MetricsHandler exposing everything as Prometheus text + JSON, and
+// the paper-invariant Audit entry point. The build-side story (Options.
 // Observe, Stats.Report, Graph.WriteTrace) is unchanged; this layer
 // covers the serving side the batch engine owns.
 
 // ServeObserverConfig tunes a ServeObserver. The zero value is the
-// serving default: 1 in 16 queries fully timed, 512-sample rolling
-// window, 8 retained tail queries.
+// serving default: 1 in 16 queries fully timed, 4096 events retained
+// per serving strand.
 type ServeObserverConfig struct {
 	// SampleEvery times 1 in SampleEvery queries (rounded up to a power
 	// of two; 1 times every query). 0 selects 16. Untimed queries cost
 	// one branch.
 	SampleEvery int
-	// Window is the rolling-window size (in timed samples) behind the
-	// p50/p95/p99/p999 snapshot quantiles. 0 selects 512.
-	Window int
-	// Tail is how many slowest queries to retain with descent path and
-	// candidate counts. 0 selects 8.
-	Tail int
+	// PerStrand is each strand's event-ring capacity; newest traffic
+	// overwrites oldest. 0 selects 4096. The window quantiles, slowest
+	// tail and exemplars are computed over what the rings retain.
+	PerStrand int
 }
 
-// ServeObserver is a long-lived serving telemetry recorder shared by any
-// number of Batchers (each strand records into its own shard; Snapshot
-// may be called concurrently with serving). Create one per engine you
-// want distinguishable in /metrics.
+// ServeObserver is a long-lived serving telemetry sink shared by any
+// number of Batchers serving one after another: one fixed-size wide
+// event per served query (batch and query ids, destination leaf,
+// descent depth, candidates scanned, balls reported, phase-split
+// latency for timed queries, trace ids) in a bounded per-strand ring,
+// plus exact query counts and phase-split histograms folded in as each
+// 16-query chunk is published. Emission costs the batch hot path one
+// ring write per query and one lock per chunk, with zero steady-state
+// allocations. Read it with Snapshot (counts, histograms, and the
+// window quantiles, slowest tail and exemplars derived from the rings),
+// Events (the retained events, non-consuming) or Drain (consuming, with
+// dropped-event accounting) — or over HTTP via MetricsHandler.
 type ServeObserver struct {
 	name string
-	rec  *obs.ServeRecorder
+	j    *obs.Journal
 }
 
 // NewServeObserver creates an observer and registers it under name in
-// the /metrics exposition (series sepdc_serve_<name>_*). Registration is
-// deterministic: the first observer created under a name owns the
-// exposition slot, and a second NewServeObserver with the same name
-// returns an observer sharing the incumbent's recorder (the requested
-// config is ignored) instead of silently dropping the live one's
-// telemetry. To deliberately swap a name's recorder, use
-// ReplaceServeObserver.
+// the /metrics, /statsz and /journal exposition (series
+// sepdc_serve_<name>_*). Registration is deterministic: the first
+// observer created under a name owns the slot, and a second
+// NewServeObserver with the same name returns an observer sharing the
+// incumbent's rings (the requested config is ignored) instead of
+// silently dropping the live one's telemetry.
 func NewServeObserver(name string, cfg ServeObserverConfig) *ServeObserver {
-	rec, _ := obs.RegisterServeIfAbsent(name, newServeRecorder(cfg))
-	return &ServeObserver{name: name, rec: rec}
-}
-
-// ReplaceServeObserver creates an observer and registers it under name,
-// replacing any previous registration — the explicit form of the swap
-// NewServeObserver used to do silently. The replaced observer's attached
-// Batchers keep recording into its (now unexported) recorder; detach
-// them with Observe(nil) or re-attach to the replacement.
-func ReplaceServeObserver(name string, cfg ServeObserverConfig) *ServeObserver {
-	rec := newServeRecorder(cfg)
-	obs.RegisterServe(name, rec)
-	return &ServeObserver{name: name, rec: rec}
-}
-
-func newServeRecorder(cfg ServeObserverConfig) *obs.ServeRecorder {
-	shift := uint(0)
-	every := false
-	switch {
-	case cfg.SampleEvery == 1:
-		every = true
-	case cfg.SampleEvery > 1:
-		for 1<<shift < cfg.SampleEvery {
-			shift++
-		}
+	if j := obs.LookupJournal(name); j != nil {
+		return &ServeObserver{name: name, j: j}
 	}
-	return obs.NewServeRecorder(obs.ServeConfig{
-		SampleShift: shift,
-		Every:       every,
-		Window:      cfg.Window,
-		Tail:        cfg.Tail,
-	}, 0)
+	j := obs.NewJournal(obs.JournalConfig{SampleEvery: cfg.SampleEvery, PerStrand: cfg.PerStrand}, 0)
+	obs.RegisterJournal(name, j)
+	return &ServeObserver{name: name, j: j}
 }
 
 // Name returns the observer's registered exposition name.
 func (o *ServeObserver) Name() string { return o.name }
 
 // Snapshot returns the observer's current telemetry: exact served
-// counts, phase-split latency/shape histograms over the timed samples,
-// rolling-window quantiles, and the retained slowest queries. Safe to
-// call while Batchers serve. The result marshals directly to JSON (the
-// same document /statsz serves).
+// counts and phase-split latency/shape histograms over the tick-sampled
+// queries, plus the rolling-window quantiles, slowest queries and
+// latency exemplars derived from the retained events. Safe to call
+// while Batchers serve. The result marshals directly to JSON (the same
+// document /statsz serves).
 func (o *ServeObserver) Snapshot() *obs.ServeSnapshot {
 	if o == nil {
 		return nil
 	}
-	return o.rec.Snapshot()
+	return o.j.ServeSnapshot()
 }
 
-// Close unregisters the observer from /metrics — but only if it still
-// owns its name's exposition slot. An observer that has been superseded
-// by ReplaceServeObserver closes as a no-op, so the hot-swap pattern
-// (register replacement, drain old snapshot, close old observer) never
-// drops the replacement's live registration. Attached Batchers keep
-// recording into the closed recorder harmlessly; detach them with
-// Observe(nil) first if the recorder should stop accumulating.
-func (o *ServeObserver) Close() {
-	if o != nil {
-		obs.UnregisterServe(o.name, o.rec)
-	}
-}
-
-// Observe attaches (or with nil detaches) a serving telemetry observer.
-// Per-query overhead: one branch when a query is not sampled, three
-// monotonic clock reads when it is; answers are bit-identical either
-// way, and the zero-allocation steady state is preserved. Not safe to
-// call concurrently with Run.
-func (bt *Batcher) Observe(o *ServeObserver) {
+// Events returns the currently retained events without consuming them,
+// ordered by (batch, query). Safe to call while Batchers serve.
+func (o *ServeObserver) Events() obs.JournalDrain {
 	if o == nil {
-		bt.b.Observe(nil)
-		return
-	}
-	bt.b.Observe(o.rec)
-}
-
-// QueryJournalConfig tunes a QueryJournal. The zero value keeps 4096
-// events per serving strand.
-type QueryJournalConfig struct {
-	// PerStrand is each strand's ring capacity in wide events; newest
-	// traffic overwrites oldest. 0 selects 4096.
-	PerStrand int
-}
-
-// QueryJournal is the wide-event flight journal: one fixed-size
-// structured record per served query (batch and query ids, destination
-// leaf, descent depth, candidates scanned, balls reported, phase-split
-// latency for sampled queries) in a bounded per-strand ring. Attach it
-// to a Batcher with Journal; read it with Snapshot (non-consuming) or
-// Drain (consuming, with dropped-event accounting), or over HTTP via
-// the /journal endpoint of MetricsHandler. Emission costs the batch hot
-// path one ring write per query and one lock per 16-query chunk, with
-// zero steady-state allocations.
-type QueryJournal struct {
-	name string
-	j    *obs.Journal
-}
-
-// NewQueryJournal creates a journal and registers it under name on the
-// /journal endpoint. Like NewServeObserver, the first journal created
-// under a name owns the slot; a repeat returns a handle sharing the
-// incumbent's rings.
-func NewQueryJournal(name string, cfg QueryJournalConfig) *QueryJournal {
-	if j := obs.LookupJournal(name); j != nil {
-		return &QueryJournal{name: name, j: j}
-	}
-	j := obs.NewJournal(obs.JournalConfig{PerStrand: cfg.PerStrand}, 0)
-	obs.RegisterJournal(name, j)
-	return &QueryJournal{name: name, j: j}
-}
-
-// Name returns the journal's registered /journal name.
-func (qj *QueryJournal) Name() string { return qj.name }
-
-// Snapshot returns the currently retained events without consuming
-// them, ordered by (batch, query). Safe to call while Batchers serve.
-func (qj *QueryJournal) Snapshot() obs.JournalDrain {
-	if qj == nil {
 		return obs.JournalDrain{}
 	}
-	return qj.j.Snapshot()
+	return o.j.Snapshot()
 }
 
 // Drain returns every retained event not returned by a previous Drain;
 // events overwritten between drains are counted in the result's Dropped
 // field. Safe to call while Batchers serve.
-func (qj *QueryJournal) Drain() obs.JournalDrain {
-	if qj == nil {
+func (o *ServeObserver) Drain() obs.JournalDrain {
+	if o == nil {
 		return obs.JournalDrain{}
 	}
-	return qj.j.Drain()
+	return o.j.Drain()
 }
 
-// Close unregisters the journal from /journal — only if it still owns
-// its name's slot, mirroring ServeObserver.Close's replace-safe
-// semantics. Attached Batchers keep publishing into its rings
-// harmlessly; detach with Journal(nil) first if emission should stop.
-func (qj *QueryJournal) Close() {
-	if qj != nil {
-		obs.UnregisterJournal(qj.name, qj.j)
+// Close unregisters the observer from the exposition — but only if it
+// still owns its name's slot, so a stale handle's deferred Close never
+// drops a newer registration. Attached Batchers keep publishing into
+// the closed rings harmlessly; detach them with Observe(nil) first if
+// emission should stop.
+func (o *ServeObserver) Close() {
+	if o != nil {
+		obs.UnregisterJournal(o.name, o.j)
 	}
 }
 
-// Journal attaches (or with nil detaches) a wide-event query journal.
-// Answers are unaffected and the zero-allocation steady state is
-// preserved. Not safe to call concurrently with Run.
-func (bt *Batcher) Journal(qj *QueryJournal) {
-	if qj == nil {
-		bt.b.Journal(nil)
+// Observe attaches (or with nil detaches) a serving telemetry observer.
+// Per-query overhead: one branch and a plain event store when a query
+// is not timed, three monotonic clock reads when it is, and one lock per
+// 16-query chunk; answers are bit-identical either way, and the
+// zero-allocation steady state is preserved. Not safe to call
+// concurrently with Run.
+func (bt *Batcher) Observe(o *ServeObserver) {
+	if o == nil {
+		bt.b.Observe(nil)
 		return
 	}
-	bt.b.Journal(qj.j)
+	bt.b.Observe(o.j)
 }
 
 // MetricsHandler returns the observability endpoints:
@@ -223,10 +143,11 @@ func (bt *Batcher) Journal(qj *QueryJournal) {
 //	           sepdc counters, worker-pool gauges, every registered
 //	           ServeObserver's histograms and window quantiles, and the
 //	           paper-invariant audit gauges.
-//	/statsz  — the same telemetry as JSON, including tail samples with
-//	           their descent paths.
-//	/journal — registered QueryJournals as JSON Lines (?name= filters,
-//	           ?drain=1 consumes).
+//	/statsz  — the same telemetry as JSON, including each observer's
+//	           slowest retained queries as journal events.
+//	/journal — registered ServeObservers' events as JSON Lines (?name=
+//	           filters, ?drain=1 consumes).
+//	/traces  — registered TraceLogs' request traces as JSON Lines.
 //
 // Mount it wherever the host process serves debug HTTP; cmd/knn mounts
 // it on -debug-addr.

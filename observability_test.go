@@ -80,43 +80,19 @@ func TestStatsSnapshotJSON(t *testing.T) {
 	}
 }
 
-// TestReplaceServeObserverSwapSafe pins the per-replica swap pattern
-// cmd/knnserve relies on: ReplaceServeObserver re-registers a name with
-// a fresh recorder, and closing the superseded observer afterwards (as
-// a draining snapshot's release callback does) must NOT tear down the
-// replacement's live exposition slot.
-func TestReplaceServeObserverSwapSafe(t *testing.T) {
-	old := NewServeObserver("swap-safe", ServeObserverConfig{})
-	repl := ReplaceServeObserver("swap-safe", ServeObserverConfig{})
-	defer repl.Close()
-
-	old.Close() // deferred close of the drained generation: must no-op
-
-	if got := obs.LookupServe("swap-safe"); got == nil {
-		t.Fatal("stale observer's Close dropped the replacement's registration")
-	} else if got != repl.rec {
-		t.Fatal("registry does not hold the replacement's recorder")
-	}
-
-	// A real Close by the owner still unregisters.
-	repl.Close()
-	if obs.LookupServe("swap-safe") != nil {
-		t.Fatal("owner Close left the slot registered")
-	}
-}
-
-// TestQueryJournalCloseSwapSafe: same replace-safe teardown for the
-// /journal registry.
+// TestQueryJournalCloseSwapSafe: replace-safe teardown for the observer
+// registry — a stale handle's Close must not drop a newer registration
+// under the same name.
 func TestQueryJournalCloseSwapSafe(t *testing.T) {
-	old := NewQueryJournal("swap-safe-j", QueryJournalConfig{})
-	// NewQueryJournal reuses an incumbent, so force a distinct journal
+	old := NewServeObserver("swap-safe-j", ServeObserverConfig{})
+	// NewServeObserver reuses an incumbent, so force a distinct journal
 	// under the same name the way a from-scratch replacement would.
 	j2 := obs.NewJournal(obs.JournalConfig{}, 0)
 	obs.RegisterJournal("swap-safe-j", j2)
 
 	old.Close() // stale handle: must not drop j2's slot
 	if got := obs.LookupJournal("swap-safe-j"); got != j2 {
-		t.Fatal("stale journal Close dropped the replacement's registration")
+		t.Fatal("stale observer Close dropped the replacement's registration")
 	}
 	obs.UnregisterJournal("swap-safe-j", j2)
 	if obs.LookupJournal("swap-safe-j") != nil {

@@ -59,7 +59,7 @@ cat "$OUT/audit.log"
 # The wide-event journal's ring-saturation gauge must be exposed and be
 # a fraction. (It reads 1.0 only when the ring retains a vanishing
 # share of served traffic — the BENCH_knn footgun; the knob is
-# QueryJournalConfig.PerStrand / knnserve -journal-ring.)
+# ServeObserverConfig.PerStrand / knnserve -journal-ring.)
 "$OUT/promlint" -q -gauge 'sepdc_journal_overwrite_rate:0:1' "$OUT/metrics.txt"
 
 # The runtime bridge and SLO engine series must be exposed too: the

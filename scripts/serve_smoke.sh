@@ -72,17 +72,20 @@ print("serve-smoke: shapes ok:", ", ".join(
 PY
 
 # One more explicit hot swap, then lint the live exposition: the
-# serving observers must be present and re-registered (not leaked) under
-# their stable per-replica names after the swaps.
+# serving observers must still be present, exactly once each, under
+# their stable per-replica names after the swaps. Scrape first so the
+# post-swap exposition can be held to the cross-scrape contract.
+curl -fsS "http://$ADDR/metrics" -o "$OUT/metrics_before.txt"
 curl -fsS -X POST "http://$ADDR/swap" >"$OUT/swap.json"
 grep -q '"epoch"' "$OUT/swap.json" || {
   echo "serve-smoke: swap response malformed: $(cat "$OUT/swap.json")" >&2
   exit 1
 }
 
-# Post-swap traffic: a swap re-registers FRESH recorders under the
-# stable names, so the replacement series must start counting again.
-# Round-robin admission alternates replicas; a few requests cover all.
+# Post-swap traffic: the observers live as long as the process and
+# every generation's Batchers publish into them, so the series keep
+# counting through the swap. Round-robin admission alternates replicas;
+# a few requests cover all.
 for _ in 1 2 3 4; do
   curl -fsS -X POST "http://$ADDR/query" \
     -d '{"queries":[[0.5,0.5],[0.25,0.75]]}' >/dev/null
@@ -92,6 +95,10 @@ curl -fsS "http://$ADDR/metrics" -o "$OUT/metrics.txt"
 "$OUT/promlint" \
   -gauge 'sepdc_serve_serve0_queries_total:1:1e18' \
   "$OUT/metrics.txt"
+
+# Counters and histogram buckets must not decrease across the hot swap:
+# a swap never resets the per-replica observers.
+"$OUT/promlint" -q -prev "$OUT/metrics_before.txt" "$OUT/metrics.txt"
 
 # Exactly one exposition slot per replica: a swap must replace, never
 # duplicate or leak, the per-replica observer series.
@@ -108,7 +115,7 @@ TP_ID='4bf92f3577b34da6a3ce929d0e0e4736'
 TP="00-${TP_ID}-00f067aa0ba902b7-01"
 
 # Round-robin admission alternates replicas; four traced requests land
-# at least one exemplar on each replica's fresh post-swap recorder.
+# at least one exemplar on each replica's observer.
 for _ in 1 2 3 4; do
   curl -fsS -X POST "http://$ADDR/query" -H "traceparent: $TP" \
     -D "$OUT/trace_hdrs.txt" \

@@ -8,8 +8,8 @@ import (
 // trace-context type the serving front end parses from traceparent
 // headers and threads through Batcher.RunTraced, and a TraceLog — the
 // registered request-trace sink behind the /traces endpoint and the
-// flight bundle's traces.jsonl. Per-query spans ride the existing
-// QueryJournal (JournalEvent.TraceID/SpanID); request-level spans
+// flight bundle's traces.jsonl. Per-query spans ride the ServeObserver's
+// journal events (JournalEvent.TraceID/SpanID); request-level spans
 // (queue → coalesce → pass) live here.
 
 // TraceContext is one request's W3C trace context: 128-bit TraceID
@@ -43,36 +43,31 @@ func GenerateTrace(seed, n uint64) TraceContext { return obs.GenTrace(seed, n) }
 func ChildSpanID(parent, salt uint64) uint64 { return obs.ChildSpan(parent, salt) }
 
 // TraceLogConfig tunes a TraceLog. The zero value keeps the 1024 most
-// recent requests and the 32 slowest.
+// recent requests.
 type TraceLogConfig struct {
 	// Ring is the recent-request ring capacity. 0 selects 1024.
 	Ring int
-	// Tail is how many of the slowest requests to retain regardless of
-	// ring overwrites — the tier a burn-rate trip freezes into the
-	// flight bundle. 0 selects 32.
-	Tail int
 }
 
-// TraceLog is a bounded store of completed request traces: a ring of
-// the most recent requests plus a slowest-N tail that survives ring
-// overwrites. Publish is one mutex and zero allocations per request;
-// reads may run concurrently with publishing. Registered TraceLogs are
-// served by the /traces endpoint of MetricsHandler and folded into
-// flight bundles as traces.jsonl.
+// TraceLog is a bounded ring of completed request traces. Publish is
+// one mutex and zero allocations per request; reads may run
+// concurrently with publishing. Registered TraceLogs are served by the
+// /traces endpoint of MetricsHandler and folded into flight bundles as
+// traces.jsonl (the ring, slowest first).
 type TraceLog struct {
 	name string
 	t    *obs.TraceSink
 }
 
 // NewTraceLog creates a trace log and registers it under name on the
-// /traces endpoint. Like NewQueryJournal, the first log created under a
-// name owns the slot; a repeat returns a handle sharing the incumbent's
-// storage.
+// /traces endpoint. Like NewServeObserver, the first log created under
+// a name owns the slot; a repeat returns a handle sharing the
+// incumbent's storage.
 func NewTraceLog(name string, cfg TraceLogConfig) *TraceLog {
 	if t := obs.LookupTraces(name); t != nil {
 		return &TraceLog{name: name, t: t}
 	}
-	t := obs.NewTraceSink(obs.TraceSinkConfig{Ring: cfg.Ring, Tail: cfg.Tail})
+	t := obs.NewTraceSink(obs.TraceSinkConfig{Ring: cfg.Ring})
 	obs.RegisterTraces(name, t)
 	return &TraceLog{name: name, t: t}
 }
@@ -96,7 +91,8 @@ func (tl *TraceLog) Snapshot() []RequestTrace {
 	return tl.t.Snapshot()
 }
 
-// Slowest returns the slowest retained requests, slowest first.
+// Slowest returns the retained requests sorted slowest first — the
+// flight bundle's traces.jsonl content.
 func (tl *TraceLog) Slowest() []RequestTrace {
 	if tl == nil {
 		return nil
@@ -104,17 +100,8 @@ func (tl *TraceLog) Slowest() []RequestTrace {
 	return tl.t.Slowest()
 }
 
-// Retained returns the slowest tail followed by the recent ring (less
-// duplicates) — the flight bundle's traces.jsonl content.
-func (tl *TraceLog) Retained() []RequestTrace {
-	if tl == nil {
-		return nil
-	}
-	return tl.t.Retained()
-}
-
 // Close unregisters the log from /traces — only if it still owns its
-// name's slot, mirroring QueryJournal.Close.
+// name's slot, mirroring ServeObserver.Close.
 func (tl *TraceLog) Close() {
 	if tl != nil {
 		obs.UnregisterTraces(tl.name, tl.t)

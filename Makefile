@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 60s
 
-.PHONY: build vet test test-race race-batch race-serve metrics-audit flight-smoke serve-smoke bench bench-json bench-query bench-kernel bench-serve kernels-matrix verify fuzz chaos clean
+.PHONY: build vet test test-race race-batch race-serve metrics-audit flight-smoke serve-smoke bench bench-json bench-query bench-kernel bench-serve kernels-matrix perfbench-build verify fuzz chaos clean
 
 build:
 	$(GO) build ./...
@@ -117,6 +117,13 @@ chaos:
 	KNN_CHAOS="march-abort=all" $(GO) test -run 'Chaos|Degenerate|Golden|AllAlgorithmsAgree|FlatBackendsMatchBrute' .
 	KNN_CHAOS="march-level=1" $(GO) test -run 'Chaos|Degenerate|Golden|AllAlgorithmsAgree|FlatBackendsMatchBrute' .
 	KNN_CHAOS="sep-fail=all;punt=all;march-level=1;stall=200us" $(GO) test -run 'Chaos|Degenerate|Golden|AllAlgorithmsAgree|FlatBackendsMatchBrute' .
+
+# Compile gate for the repo benchmark driver. perfbench is its own
+# module (it imports this one through a replace directive), so `./...`
+# never builds it; this vets and compiles it against the current
+# library API without touching the network.
+perfbench-build:
+	cd perfbench && GOPROXY=off GOWORK=off $(GO) vet ./... && GOPROXY=off GOWORK=off $(GO) build -o /dev/null .
 
 verify: build test vet test-race
 

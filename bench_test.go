@@ -81,11 +81,7 @@ func BenchmarkQueryPoint(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			pts := benchPoints(b, n, 2, pointgen.UniformBall)
 			sys := nbrsys.KNeighborhood(pts, 2)
-			tree, err := septree.Build(sys, xrand.New(3), nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			frozen, err := septree.Freeze(tree)
+			frozen, err := septree.Build(sys, xrand.New(3), nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -41,12 +41,13 @@ type KernelResult struct {
 	AsmSpeedup    float64 `json:"asm_speedup,omitempty"`
 }
 
-// LayoutResult is one dimension's whole-path serving comparison:
-// ref = the PR-5 configuration (breadth-first node layout, generic
-// kernels, per-query leaf scans) against opt = this PR's configuration
-// (pair-blocked layout, unrolled + four-point kernels, query-blocked
-// leaf scans), both through the batch engine on one strand so the
-// numbers isolate layout + kernels rather than scheduling. Descent and
+// LayoutResult is one dimension's whole-path serving comparison over
+// one built structure in its pair-blocked node layout (the only one):
+// ref = the generic kernel tier with per-query leaf scans against opt =
+// the dispatched kernels (unrolled, four-point and, on AVX2 hosts,
+// assembly forms) with query-blocked leaf scans, both through the
+// batch engine on one strand so the numbers isolate the kernels and
+// query blocking rather than scheduling. Descent and
 // scan phase means come from one extra non-timed instrumented pass per
 // mode (a serving journal timing every query), phase-split exactly like
 // the production telemetry.
@@ -356,18 +357,15 @@ func runLayoutBench(dims []int, numQueries, iters int) ([]LayoutResult, error) {
 		g := xrand.New(uint64(n*31 + d))
 		pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformCube, n, d, g.Split()))
 		sys := nbrsys.KNeighborhood(pts, k)
-		tree, err := septree.Build(sys, xrand.New(42), nil)
+		opt, err := septree.Build(sys, xrand.New(42), nil)
 		if err != nil {
 			return nil, err
 		}
-		opt, err := septree.FreezeLayout(tree, septree.LayoutBlocked)
-		if err != nil {
-			return nil, err
-		}
-		// The reference freezes under the generic tier, which captures the
-		// flat kernels, no batch kernels and no inline descents.
+		// The reference re-freezes the same structure under the generic
+		// tier, which captures the flat kernels, no batch kernels and no
+		// inline descents.
 		prev := vec.SetActiveTier(vec.TierGeneric)
-		ref, err := septree.FreezeLayout(tree, septree.LayoutBFS)
+		ref, err := septree.Freeze(opt)
 		vec.SetActiveTier(prev)
 		if err != nil {
 			return nil, err

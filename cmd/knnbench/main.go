@@ -234,7 +234,8 @@ func remeasureKernels(path string, dims []int) error {
 		return fmt.Errorf("layout bench: %w", err)
 	}
 	return mergeSections(path, map[string]any{"kernels": kr, "layout": lr, "env": captureEnv()},
-		"kernels+layout remeasured via -only kernels (other sections predate it)")
+		"kernels+layout remeasured via -only kernels (other sections predate it); layout ref = "+
+			"the generic kernel tier, unblocked, on the same pair-blocked structure as opt (the only node layout)")
 }
 
 // mergeSections overwrites the given top-level sections of the existing
@@ -342,10 +343,11 @@ func main() {
 			"streams; asm_speedup is best-asm-form vs the unrolled four-point kernel); layout = whole-path " +
 			"serving per dimension over a correlated query stream (runs of 8 jittered queries per " +
 			"anchor — the shape the correction's closed covering queries and clustered external traffic " +
-			"produce), ref (breadth-first layout + generic kernels + per-query scans and descents, " +
-			"the PR-5 configuration) vs opt (pair-blocked layout + specialized kernels/descents + " +
-			"query-blocked scans at block_width, 1 at d<=3 where the inline whole-path scans already " +
-			"win), answers cross-checked identical before timing, phase means from " +
+			"produce), both over one structure in the pair-blocked node layout (the only one): ref " +
+			"(the structure re-frozen under the generic kernel tier, per-query scans and descents, " +
+			"no query blocking) vs opt (specialized kernels/descents + query-blocked scans at " +
+			"block_width, 1 at d<=3 where the inline whole-path scans already win), answers " +
+			"cross-checked identical before timing, phase means from " +
 			"non-timed instrumented passes",
 	}
 	rep.Baseline = baseline

@@ -86,11 +86,7 @@ func measureQueries(c queryCfg, numQueries, iters int, procs []int) ([]QueryResu
 	g := xrand.New(uint64(c.n*31 + c.d))
 	pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformCube, c.n, c.d, g.Split()))
 	sys := nbrsys.KNeighborhood(pts, c.k)
-	tree, err := septree.Build(sys, xrand.New(42), nil)
-	if err != nil {
-		return nil, err
-	}
-	frozen, err := septree.Freeze(tree)
+	frozen, err := septree.Build(sys, xrand.New(42), nil)
 	if err != nil {
 		return nil, err
 	}

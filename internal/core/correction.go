@@ -180,11 +180,7 @@ func queryCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherPts []
 		radii[j] = math.Sqrt(math.Nextafter(r2, math.Inf(1))) * (1 + 1e-12)
 	}
 	sys := &nbrsys.System{Centers: centers, Radii: radii}
-	tree, err := septree.Build(sys, g.Split(), &septree.Options{Sep: opts.sep(), Done: cc.done})
-	var frozen *septree.Frozen
-	if err == nil {
-		frozen, err = septree.Freeze(tree)
-	}
+	frozen, err := septree.Build(sys, g.Split(), &septree.Options{Sep: opts.sep(), Done: cc.done})
 	if err != nil {
 		if cc.cancelled() {
 			// The structure build was cut short by cancellation; the punt
@@ -205,11 +201,11 @@ func queryCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherPts []
 		sh.Count(obs.CQueryCorrections, 1)
 		return
 	}
-	ctx.Charge(tree.Stats.Cost)
-	tl.add(func(s *Stats) { s.SeparatorTrials += tree.Stats.SeparatorTrials })
-	sh.Count(obs.CSeparatorTrials, int64(tree.Stats.SeparatorTrials))
+	ctx.Charge(frozen.Stats.Cost)
+	tl.add(func(s *Stats) { s.SeparatorTrials += frozen.Stats.SeparatorTrials })
+	sh.Count(obs.CSeparatorTrials, int64(frozen.Stats.SeparatorTrials))
 	sh.Count(obs.CSeptreeBuilds, 1)
-	sh.Count(obs.CSeptreeStored, int64(tree.Stats.TotalStored))
+	sh.Count(obs.CSeptreeStored, int64(frozen.Stats.TotalStored))
 
 	// Query every other-side point with closed balls, so candidates at
 	// exactly the current k-th distance are not lost. The queries are

@@ -78,11 +78,7 @@ func runE2(cfg Config) []*stats.Table {
 	for _, n := range cfg.sizes() {
 		pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformBall, n, 2, g.Split()))
 		sys := nbrsys.KNeighborhood(pts, 2)
-		tree, err := septree.Build(sys, g.Split(), nil)
-		if err != nil {
-			continue
-		}
-		frozen, err := septree.Freeze(tree)
+		frozen, err := septree.Build(sys, g.Split(), nil)
 		if err != nil {
 			continue
 		}
@@ -98,10 +94,10 @@ func runE2(cfg Config) []*stats.Table {
 				maxV = visited
 			}
 		}
-		tb.AddRow(len(pts), tree.Stats.Height,
-			float64(tree.Stats.Height)/logN,
-			float64(tree.Stats.TotalStored)/float64(len(pts)),
-			tree.Stats.Leaves,
+		tb.AddRow(len(pts), frozen.Stats.Height,
+			float64(frozen.Stats.Height)/logN,
+			float64(frozen.Stats.TotalStored)/float64(len(pts)),
+			frozen.Stats.Leaves,
 			float64(total)/float64(queries), maxV)
 	}
 	tb.AddNote("claims: height/log2 n bounded by a constant; stored/n bounded (space O(n)); query visits O(log n)")

@@ -32,13 +32,9 @@ func runE15(cfg Config) []*stats.Table {
 			queries[i] = g.IntN(len(pts))
 		}
 
-		// Separator-based structure (Section 3), frozen for querying.
+		// Separator-based structure (Section 3).
 		start := time.Now()
-		tree, err := septree.Build(sys, g.Split(), nil)
-		if err != nil {
-			continue
-		}
-		frozen, err := septree.Freeze(tree)
+		frozen, err := septree.Build(sys, g.Split(), nil)
 		if err != nil {
 			continue
 		}
@@ -70,7 +66,7 @@ func runE15(cfg Config) []*stats.Table {
 		perQ := float64(len(queries))
 		tb.AddRow(len(pts), "septree (§3)",
 			float64(buildSep.Microseconds())/1000,
-			float64(tree.Stats.TotalStored)/float64(len(pts)),
+			float64(frozen.Stats.TotalStored)/float64(len(pts)),
 			float64(querySep.Microseconds())/perQ, check)
 		tb.AddRow(len(pts), "BV kd-tree",
 			float64(buildBV.Microseconds())/1000,

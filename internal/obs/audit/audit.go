@@ -124,6 +124,7 @@ type Report struct {
 
 // treeWalk accumulates the per-node re-measurements.
 type treeWalk struct {
+	f            *septree.Frozen
 	sys          *nbrsys.System
 	delta        float64
 	minIota      int
@@ -137,19 +138,19 @@ type treeWalk struct {
 	stored       int
 }
 
-// Audit re-measures the invariants on tree, probing the frozen engine
-// with the given queries (their answers are discarded; their traversal
-// costs are the Theorem 3.1 sample). Queries may be drawn from any
+// Audit re-measures the invariants on f, the structure built over sys,
+// walking the same node arrays the queries descend and probing them with
+// the given queries (their answers are discarded; their traversal costs
+// are the Theorem 3.1 sample). Queries may be drawn from any
 // distribution the caller wants audited — stored points, fresh points,
 // or a mix.
-func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, cfg Config) (*Report, error) {
-	if tree == nil || tree.Root == nil || tree.Sys == nil {
-		return nil, errors.New("audit: nil or empty tree")
+func Audit(f *septree.Frozen, sys *nbrsys.System, queries [][]float64, cfg Config) (*Report, error) {
+	if f == nil || sys == nil {
+		return nil, errors.New("audit: nil structure or neighborhood system")
 	}
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("audit: Config.K must be ≥ 1, got %d", cfg.K)
 	}
-	sys := tree.Sys
 	n := sys.Len()
 	if n == 0 {
 		return nil, errors.New("audit: empty neighborhood system")
@@ -159,12 +160,12 @@ func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, cfg 
 	if delta <= 0 {
 		delta = separator.DefaultDelta(d)
 	}
-	w := &treeWalk{sys: sys, delta: delta, minIota: cfg.minIota(), k: cfg.K, d: d}
+	w := &treeWalk{f: f, sys: sys, delta: delta, minIota: cfg.minIota(), k: cfg.K, d: d}
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	w.walk(tree.Root, idx)
+	w.walk(0, idx)
 
 	rep := &Report{N: n, D: d, K: cfg.K}
 	logn := math.Log2(float64(n))
@@ -197,9 +198,9 @@ func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, cfg 
 	rep.add(Check{
 		Name:     "depth",
 		Theorem:  "Punting Lemma",
-		Observed: float64(tree.Stats.Height),
+		Observed: float64(f.Stats.Height),
 		Bound:    2*logn + 2,
-		Detail:   fmt.Sprintf("height %d vs 2·log₂n+2", tree.Stats.Height),
+		Detail:   fmt.Sprintf("height %d vs 2·log₂n+2", f.Stats.Height),
 	})
 	// ...and punts stay rare enough not to dominate.
 	punt := 0.0
@@ -222,7 +223,7 @@ func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, cfg 
 		Observed: float64(w.stored),
 		Bound:    cfg.spaceC(d) * float64(n),
 		Detail: fmt.Sprintf("Σ stored=%d over %d leaves (≤ C·n, C=%.3g, dimension-exponential)",
-			w.stored, tree.Stats.Leaves, cfg.spaceC(d)),
+			w.stored, f.Stats.Leaves, cfg.spaceC(d)),
 	})
 
 	// Theorem 3.1: probe traversal costs.
@@ -231,7 +232,7 @@ func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, cfg 
 		buf := make([]int, 0, 64)
 		for _, q := range queries {
 			var nv, sc int
-			buf, nv, sc = coveringInto(frozen, q, buf)
+			buf, nv, sc = f.Covering(q, buf[:0])
 			nodes += int64(nv)
 			cands += int64(sc)
 		}
@@ -262,11 +263,6 @@ func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, cfg 
 	return rep, nil
 }
 
-func coveringInto(f *septree.Frozen, q []float64, buf []int) ([]int, int, int) {
-	balls, nodes, scanned := f.Covering(q, buf[:0])
-	return balls, nodes, scanned
-}
-
 func (r *Report) add(c Check) {
 	if c.Bound > 0 {
 		c.Ratio = c.Observed / c.Bound
@@ -275,39 +271,39 @@ func (r *Report) add(c Check) {
 	r.Checks = append(r.Checks, c)
 }
 
-func (w *treeWalk) walk(n *septree.Node, idx []int) {
-	if n == nil {
-		return
-	}
-	if n.IsLeaf() {
-		w.stored += len(n.Balls)
+// walk re-measures node i, whose subset of the balls is idx.
+func (w *treeWalk) walk(i int32, idx []int) {
+	sep, left := w.f.Separator(i)
+	if sep == nil {
+		w.stored += len(w.f.LeafBalls(i))
 		return
 	}
 	w.internal++
-	if n.Punted {
+	punted := w.f.Punted(i)
+	if punted {
 		w.punted++
 	}
 	m := len(idx)
-	var left, right []int
+	var l, r []int
 	crossing := 0
 	inside := 0
-	for _, i := range idx {
-		c, rad := w.sys.Centers[i], w.sys.Radii[i]
-		switch n.Sep.ClassifyBall(c, rad) {
+	for _, j := range idx {
+		c, rad := w.sys.Centers[j], w.sys.Radii[j]
+		switch sep.ClassifyBall(c, rad) {
 		case geom.Interior:
-			left = append(left, i)
+			l = append(l, j)
 		case geom.Exterior:
-			right = append(right, i)
+			r = append(r, j)
 		default:
 			crossing++
-			left = append(left, i)
-			right = append(right, i)
+			l = append(l, j)
+			r = append(r, j)
 		}
-		if n.Sep.Side(c) <= 0 {
+		if sep.Side(c) <= 0 {
 			inside++
 		}
 	}
-	if !n.Punted && m > 0 {
+	if !punted && m > 0 {
 		side := inside
 		if m-inside > side {
 			side = m - inside
@@ -324,8 +320,8 @@ func (w *treeWalk) walk(n *septree.Node, idx []int) {
 			}
 		}
 	}
-	w.walk(n.Left, left)
-	w.walk(n.Right, right)
+	w.walk(left, l)
+	w.walk(left+1, r)
 }
 
 // Publish exports the report as /metrics gauges, one series per check

@@ -13,20 +13,16 @@ import (
 	"sepdc/internal/xrand"
 )
 
-func buildFixture(t *testing.T, dist pointgen.Dist, n, d, k int, seed uint64) (*septree.Tree, *septree.Frozen, []vec.Vec) {
+func buildFixture(t *testing.T, dist pointgen.Dist, n, d, k int, seed uint64) (*septree.Frozen, *nbrsys.System, []vec.Vec) {
 	t.Helper()
 	g := xrand.New(seed)
 	pts := pointgen.Dedup(pointgen.MustGenerate(dist, n, d, g.Split()))
 	sys := nbrsys.KNeighborhood(pts, k)
-	tree, err := septree.Build(sys, g.Split(), nil)
+	f, err := septree.Build(sys, g.Split(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen, err := septree.Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tree, frozen, pts
+	return f, sys, pts
 }
 
 func probes(pts []vec.Vec, d, n int, seed uint64) [][]float64 {
@@ -58,8 +54,8 @@ func TestAuditPassesOnPaperGenerators(t *testing.T) {
 		{pointgen.Clustered, 3, 4},
 	}
 	for _, c := range cases {
-		tree, frozen, pts := buildFixture(t, c.gen, 3000, c.d, c.k, 42)
-		rep, err := Audit(tree, frozen, probes(pts, c.d, 500, 43), Config{K: c.k})
+		f, sys, pts := buildFixture(t, c.gen, 3000, c.d, c.k, 42)
+		rep, err := Audit(f, sys, probes(pts, c.d, 500, 43), Config{K: c.k})
 		if err != nil {
 			t.Fatalf("%s d=%d: %v", c.gen, c.d, err)
 		}
@@ -86,8 +82,8 @@ func TestAuditPassesOnPaperGenerators(t *testing.T) {
 // TestAuditDetectsViolation: absurdly tight constants must fail — the
 // auditor is only useful if it can say no.
 func TestAuditDetectsViolation(t *testing.T) {
-	tree, frozen, pts := buildFixture(t, pointgen.UniformBall, 2000, 2, 4, 7)
-	rep, err := Audit(tree, frozen, probes(pts, 2, 200, 8), Config{
+	f, sys, pts := buildFixture(t, pointgen.UniformBall, 2000, 2, 4, 7)
+	rep, err := Audit(f, sys, probes(pts, 2, 200, 8), Config{
 		K:           4,
 		IotaC:       1e-6,
 		QueryCandsC: 1e-6,
@@ -113,8 +109,8 @@ func TestAuditDetectsViolation(t *testing.T) {
 // the build at ratio ≤ δ; the audit recomputes the same quantity from
 // scratch and must agree.
 func TestAuditSplitBalanceIsExact(t *testing.T) {
-	tree, frozen, pts := buildFixture(t, pointgen.Gaussian, 2500, 3, 3, 11)
-	rep, err := Audit(tree, frozen, probes(pts, 3, 100, 12), Config{K: 3})
+	f, sys, pts := buildFixture(t, pointgen.Gaussian, 2500, 3, 3, 11)
+	rep, err := Audit(f, sys, probes(pts, 3, 100, 12), Config{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +122,8 @@ func TestAuditSplitBalanceIsExact(t *testing.T) {
 }
 
 func TestAuditTableAndPublish(t *testing.T) {
-	tree, frozen, pts := buildFixture(t, pointgen.Clustered, 1500, 2, 4, 21)
-	rep, err := Audit(tree, frozen, probes(pts, 2, 100, 22), Config{K: 4})
+	f, sys, pts := buildFixture(t, pointgen.Clustered, 1500, 2, 4, 21)
+	rep, err := Audit(f, sys, probes(pts, 2, 100, 22), Config{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +149,11 @@ func TestAuditRejectsBadInput(t *testing.T) {
 	if _, err := Audit(nil, nil, nil, Config{K: 1}); err == nil {
 		t.Error("nil tree accepted")
 	}
-	tree, frozen, _ := buildFixture(t, pointgen.UniformCube, 300, 2, 2, 5)
-	if _, err := Audit(tree, frozen, nil, Config{}); err == nil {
+	f, sys, _ := buildFixture(t, pointgen.UniformCube, 300, 2, 2, 5)
+	if _, err := Audit(f, sys, nil, Config{}); err == nil {
 		t.Error("K=0 accepted")
 	}
-	rep, err := Audit(tree, frozen, nil, Config{K: 2})
+	rep, err := Audit(f, sys, nil, Config{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

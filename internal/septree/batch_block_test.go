@@ -15,11 +15,7 @@ import (
 // and partial-width groups in play.
 func TestBlockedBatchIdenticalResults(t *testing.T) {
 	for _, d := range []int{2, 3, 4, 6} {
-		tree, pts := buildUniform(t, 1200, d, 3, 37, nil)
-		f, err := Freeze(tree)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f, _, pts := buildUniform(t, 1200, d, 3, 37, nil)
 		queries := queryMix(pts, d, 333, 39)
 		for _, workers := range []int{1, 4} {
 			for _, width := range []int{2, 4, 8} {
@@ -57,11 +53,7 @@ func TestBlockedBatchIdenticalResults(t *testing.T) {
 // unobserved sequential one. All three must agree: sampling changes
 // which scan routine answers a query, never the answer.
 func TestBlockedBatchObservedIdentical(t *testing.T) {
-	tree, pts := buildUniform(t, 1500, 4, 3, 41, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _, pts := buildUniform(t, 1500, 4, 3, 41, nil)
 	queries := queryMix(pts, 4, 256, 43)
 	seq := NewBatch(f, 4)
 	blk := NewBatch(f, 4)
@@ -89,11 +81,7 @@ func TestBlockedBatchObservedIdentical(t *testing.T) {
 // warm, a blocked Run must not allocate — with and without telemetry.
 func TestBlockedBatchZeroAllocSteadyState(t *testing.T) {
 	for _, d := range []int{2, 5} {
-		tree, pts := buildUniform(t, 2000, d, 3, 45, nil)
-		f, err := Freeze(tree)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f, _, pts := buildUniform(t, 2000, d, 3, 45, nil)
 		queries := queryMix(pts, d, 256, 47)
 		for _, workers := range []int{1, 4} {
 			for _, observed := range []bool{false, true} {
@@ -116,11 +104,7 @@ func TestBlockedBatchZeroAllocSteadyState(t *testing.T) {
 
 // TestSetBlockWidthClamps pins the clamp and the width-1 off switch.
 func TestSetBlockWidthClamps(t *testing.T) {
-	tree, pts := buildUniform(t, 600, 2, 2, 49, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _, pts := buildUniform(t, 600, 2, 2, 49, nil)
 	b := NewBatch(f, 1)
 	if b.BlockWidth() != 1 {
 		t.Fatalf("default width %d, want 1", b.BlockWidth())

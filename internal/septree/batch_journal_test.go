@@ -12,11 +12,7 @@ import (
 // change a single answer or engine counter, in every serving mode
 // (sequential, parallel, blocked).
 func TestJournaledBatchIdenticalResults(t *testing.T) {
-	tree, pts := buildUniform(t, 1200, 3, 3, 29, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _, pts := buildUniform(t, 1200, 3, 3, 29, nil)
 	queries := queryMix(pts, 3, 333, 31)
 	for _, workers := range []int{1, 4} {
 		for _, blockW := range []int{1, 4} {
@@ -53,11 +49,7 @@ func TestJournaledBatchIdenticalResults(t *testing.T) {
 // once per Run, and the events' per-query fields reconcile with the
 // engine's exact counters and the answers read back through Result.
 func TestJournaledBatchEventCorrectness(t *testing.T) {
-	tree, pts := buildUniform(t, 1500, 2, 3, 7, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _, pts := buildUniform(t, 1500, 2, 3, 7, nil)
 	queries := queryMix(pts, 2, 300, 13)
 	for _, blockW := range []int{1, 4} {
 		b := NewBatch(f, 4)
@@ -143,11 +135,7 @@ func TestJournaledBatchEventCorrectness(t *testing.T) {
 // live, warm Runs must not allocate — the acceptance bar for leaving the
 // flight recorder on in production.
 func TestJournaledBatchZeroAllocSteadyState(t *testing.T) {
-	tree, pts := buildUniform(t, 2000, 2, 3, 5, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _, pts := buildUniform(t, 2000, 2, 3, 5, nil)
 	queries := queryMix(pts, 2, 256, 9)
 	for _, workers := range []int{1, 4} {
 		for _, blockW := range []int{1, 4} {
@@ -169,11 +157,7 @@ func TestJournaledBatchZeroAllocSteadyState(t *testing.T) {
 // per-batch wall time without touching answers — the lever the SLO
 // integration test pulls.
 func TestBatchChaosStallInflatesLatency(t *testing.T) {
-	tree, pts := buildUniform(t, 600, 2, 3, 3, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _, pts := buildUniform(t, 600, 2, 3, 3, nil)
 	queries := queryMix(pts, 2, 64, 5)
 
 	plain := NewBatch(f, 1)
@@ -209,11 +193,7 @@ func TestBatchChaosStallInflatesLatency(t *testing.T) {
 
 // TestJournalDetach: a nil journal detaches cleanly and publishing stops.
 func TestJournalDetach(t *testing.T) {
-	tree, pts := buildUniform(t, 600, 2, 3, 3, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _, pts := buildUniform(t, 600, 2, 3, 3, nil)
 	queries := queryMix(pts, 2, 64, 5)
 	b := NewBatch(f, 2)
 	j := obs.NewJournal(obs.JournalConfig{PerStrand: 256}, 2)
@@ -234,11 +214,7 @@ func TestJournalDetach(t *testing.T) {
 // isolation (the BENCH_knn.json obs_overhead section measures the same
 // thing end-to-end, with and without tracing).
 func BenchmarkJournaledBatch(b *testing.B) {
-	tree, pts := buildUniform(b, 100000, 2, 4, 1, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		b.Fatal(err)
-	}
+	f, _, pts := buildUniform(b, 100000, 2, 4, 1, nil)
 	queries := queryMix(pts, 2, 4096, 99)
 	for _, mode := range []string{"nil", "journal"} {
 		b.Run(mode, func(b *testing.B) {

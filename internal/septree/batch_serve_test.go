@@ -12,11 +12,7 @@ import (
 // the same two kernels the covering paths are built from.
 func TestObservedBatchIdenticalResults(t *testing.T) {
 	for _, d := range []int{2, 3, 4} {
-		tree, pts := buildUniform(t, 1200, d, 3, 29, nil)
-		f, err := Freeze(tree)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f, _, pts := buildUniform(t, 1200, d, 3, 29, nil)
 		queries := queryMix(pts, d, 333, 31)
 		for _, workers := range []int{1, 4} {
 			plain := NewBatch(f, workers)
@@ -49,11 +45,7 @@ func TestObservedBatchIdenticalResults(t *testing.T) {
 // plausible sampled latency distribution, and tail events whose leaf
 // and depth are the query's real root-to-leaf route.
 func TestObservedBatchTelemetry(t *testing.T) {
-	tree, pts := buildUniform(t, 1500, 2, 3, 7, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _, pts := buildUniform(t, 1500, 2, 3, 7, nil)
 	queries := queryMix(pts, 2, 512, 13)
 	j := obs.NewJournal(obs.JournalConfig{SampleEvery: 4}, 0)
 	b := NewBatch(f, 4)
@@ -106,11 +98,7 @@ func TestObservedBatchTelemetry(t *testing.T) {
 // assertion to the instrumented path: with a journal attached and
 // sampling live, a warm Run must not allocate.
 func TestObservedBatchZeroAllocSteadyState(t *testing.T) {
-	tree, pts := buildUniform(t, 2000, 2, 3, 5, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _, pts := buildUniform(t, 2000, 2, 3, 5, nil)
 	queries := queryMix(pts, 2, 256, 9)
 	for _, workers := range []int{1, 4} {
 		b := NewBatch(f, workers)
@@ -139,11 +127,7 @@ func TestDescendPathMatchesCovering(t *testing.T) {
 		if s, ok := sizes[d]; ok {
 			n = s
 		}
-		tree, pts := buildUniform(t, n, d, 2, 3, nil)
-		f, err := Freeze(tree)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f, _, pts := buildUniform(t, n, d, 2, 3, nil)
 		var path []int32
 		var got, want []int
 		for _, q := range queryMix(pts, d, 200, 5) {

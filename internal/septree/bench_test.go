@@ -45,11 +45,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 
 func BenchmarkQuery(b *testing.B) {
 	sys := benchSystem(b, 1<<16)
-	tree, err := Build(sys, xrand.New(3), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := Freeze(tree)
+	f, err := Build(sys, xrand.New(3), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

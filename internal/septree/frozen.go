@@ -1,31 +1,30 @@
 package septree
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"sepdc/internal/geom"
+	"sepdc/internal/nbrsys"
 	"sepdc/internal/vec"
 )
 
-// Frozen is the query-optimized representation of a built Tree and the
-// repository's only covering-ball query engine: a structure-of-arrays
-// layout with no per-node pointers on the descent path. The pointer Tree
-// stays the canonical build/validation form; Freeze converts it once and
-// every query — serving, the build's punt correction, the experiments —
-// runs against flat arrays:
+// Frozen is the search structure Build returns and its only form: a
+// structure-of-arrays layout with no per-node pointers on the descent
+// path. Every query — serving, the build's punt correction, the
+// experiments, the invariant auditor — runs against these flat arrays:
 //
 //   - Nodes are stored with sibling pairs adjacent, so an internal node
 //     records only its left child id (right = left + 1) and the branch
-//     taken is a +0/+1 index adjustment, not a pointer load. The default
-//     ordering groups nodes into van Emde Boas-style pair-blocks
-//     (LayoutBlocked): blockLevels consecutive tree levels of one
-//     subtree sit contiguously, so a root-to-leaf descent touches
-//     ~depth/blockLevels separated memory regions instead of one per
-//     level — the plain breadth-first order (LayoutBFS, the PR-4
-//     layout) scatters consecutive levels ever further apart as n
-//     grows, costing one cache miss per hop. See FreezeLayout.
+//     taken is a +0/+1 index adjustment, not a pointer load. Nodes are
+//     grouped into van Emde Boas-style pair-blocks: blockLevels
+//     consecutive tree levels of one subtree sit contiguously, so a
+//     root-to-leaf descent touches ~depth/blockLevels separated memory
+//     regions instead of one per level (a plain breadth-first order
+//     scatters consecutive levels ever further apart as n grows, costing
+//     one cache miss per hop). See blockedOrder.
 //   - Separator geometry lives in one flat []float64 with stride d+3
 //     (center‖radius‖r²-band for spheres, normal‖offset for the
 //     hyperplane punts), so the descent touches one contiguous record
@@ -58,11 +57,11 @@ type Frozen struct {
 	dim     int
 	stride  int // dim + 1: ball record width (center ‖ r²)
 	nstride int // dim + 3: node record width (geometry ‖ scalar ‖ r² band)
-	layout  Layout
 
-	kind  []uint8   // per node: kindSphere | kindHalf | kindLeaf
-	child []int32   // internal: left child id; leaf: leaf slot
-	sep   []float64 // per node: nstride floats of separator geometry
+	kind   []uint8   // per node: kindSphere | kindHalf | kindLeaf
+	child  []int32   // internal: left child id; leaf: leaf slot
+	sep    []float64 // per node: nstride floats of separator geometry
+	punted []bool    // per node: the build punted there (audit only; queries never read it)
 
 	leafOff   []int32   // CSR offsets into leafBalls, one per leaf slot +1
 	leafBalls []int32   // concatenated, ascending ball ids per leaf
@@ -74,6 +73,9 @@ type Frozen struct {
 	batch8   vec.Dist2Batch8Func   // eight-wide query-blocked kernel; nil falls back to batch4
 	strided8 vec.Dist2Strided8Func // eight-record stream kernel; nil falls back to batch4
 	generic  bool                  // generic tier: also skip the d=4..8 inline descents
+
+	// Stats describes the build that produced the structure.
+	Stats BuildStats
 }
 
 const (
@@ -82,97 +84,65 @@ const (
 	kindLeaf
 )
 
-// Layout selects the node ordering Freeze emits. Both orderings keep
-// sibling pairs adjacent (the right-child = left-child+1 invariant the
-// descent relies on) and produce bit-identical query answers; they
-// differ only in where a node's children live relative to it.
-type Layout uint8
-
-const (
-	// LayoutBlocked is the default: nodes are grouped into van Emde
-	// Boas-style pair-blocks. A block is a sibling pair (the root is a
-	// singleton) together with its descendants for blockLevels tree
-	// levels, stored contiguously in breadth-first order; the sibling
-	// pairs hanging below a block become blocks of their own, laid out
-	// depth-first so a subtree's blocks cluster together
-	// (root-subtree-first). A descent therefore lands in a new memory
-	// region only once every blockLevels hops instead of on every hop.
-	LayoutBlocked Layout = iota
-	// LayoutBFS is the PR-4 plain breadth-first ordering. Level ℓ of the
-	// tree occupies one contiguous run, so consecutive hops of a descent
-	// are ~2^ℓ node records apart — a cache miss per level once the tree
-	// outgrows the caches. Kept as the measurable reference point for
-	// the layout benchmarks (knnbench's layout section).
-	LayoutBFS
-)
-
-// blockLevels is the pair-block height of LayoutBlocked. Three levels
+// blockLevels is the pair-block height of the node order. Three levels
 // put at most 2+4+8 = 14 node records (a pair and two generations below
 // it) in one contiguous run — 560 B at d=2 (nstride 5), 1.2 KiB at d=8
 // (nstride 11) — of which any single descent touches exactly 3 records
-// spanning ≤ 2 cache lines of the sep array at d ≤ 5. Against BFS's
-// line-per-level, that cuts the distinct lines a depth-D descent
-// touches from ~D to ~D·2/3 at d ≤ 5 (and keeps the per-block records
-// prefetchable at every d), while keeping blocks small enough that the
-// top of every subtree stays resident across queries.
+// spanning ≤ 2 cache lines of the sep array at d ≤ 5. Against a
+// breadth-first order's line-per-level, that cuts the distinct lines a
+// depth-D descent touches from ~D to ~D·2/3 at d ≤ 5 (and keeps the
+// per-block records prefetchable at every d), while keeping blocks small
+// enough that the top of every subtree stays resident across queries.
 const blockLevels = 3
 
-// Freeze converts a built tree into its flat query representation using
-// the default blocked layout. The tree is not modified and remains
-// usable.
-func Freeze(t *Tree) (*Frozen, error) { return FreezeLayout(t, LayoutBlocked) }
-
-// FreezeLayout is Freeze with an explicit node ordering. Queries over
-// the two layouts return bit-identical results; LayoutBFS exists so the
-// blocked layout's cache behavior can be measured against the PR-4
-// baseline on the same tree. Freezing a tree whose separators are
-// neither spheres nor halfspaces (impossible for trees built by this
-// package) is an error.
-func FreezeLayout(t *Tree, layout Layout) (*Frozen, error) {
-	if t == nil || t.Root == nil {
-		return nil, fmt.Errorf("septree: freeze of nil tree")
+// Freeze returns a copy of f that shares its arrays, with the kernels
+// captured again from the active vec dispatch tier: a second view of one
+// structure under another tier, as knnbench's generic-tier reference.
+func Freeze(f *Frozen) (*Frozen, error) {
+	if f == nil {
+		return nil, errors.New("septree: freeze of nil structure")
 	}
-	n := t.Sys.Len()
-	if n == 0 {
-		return nil, fmt.Errorf("septree: freeze of empty system")
-	}
-	var order []*Node
-	switch layout {
-	case LayoutBFS:
-		order = bfsOrder(t.Root)
-	case LayoutBlocked:
-		order = blockedOrder(t.Root)
-	default:
-		return nil, fmt.Errorf("septree: unknown layout %d", layout)
-	}
-	return freezeOrder(t, order, layout)
+	c := *f
+	c.setKernels()
+	return &c, nil
 }
 
-// bfsOrder returns the nodes breadth-first; children of the i-th node
-// are appended together, so sibling pairs are adjacent by construction.
-func bfsOrder(root *Node) []*Node {
-	order := []*Node{root}
-	for i := 0; i < len(order); i++ {
-		if nd := order[i]; !nd.IsLeaf() {
-			order = append(order, nd.Left, nd.Right)
-		}
+// setKernels captures the kernels from the active dispatch tier. The
+// eight-lane forms are nil on tiers or builds without assembly, which
+// the scan loops treat as "use the four-wide path". The generic tier
+// takes the flat kernels, no batch kernels at all, and skips the d=4..8
+// inline descents, so a KNN_KERNELS=generic run (or a Freeze under
+// vec.SetActiveTier(vec.TierGeneric), knnbench's reference
+// configuration) exercises the pre-dispatch arithmetic end to end. (The
+// scan loops also rely on batch kernels reading only [0, dim) of the
+// candidate's slot, which the flat generic batch kernel does not
+// guarantee.)
+func (f *Frozen) setKernels() {
+	f.dist2 = vec.Dist2Kernel(f.dim)
+	f.dot = vec.DotKernel(f.dim)
+	f.generic = vec.ActiveTier() == vec.TierGeneric
+	f.batch4, f.batch8, f.strided8 = nil, nil, nil
+	if !f.generic {
+		f.batch4 = vec.Dist2Batch4Kernel(f.dim)
+		f.batch8 = vec.Dist2Batch8Kernel(f.dim)
+		f.strided8 = vec.Dist2Strided8Kernel(f.dim)
 	}
-	return order
 }
 
 // blockedOrder returns the nodes in pair-blocked van Emde Boas-ish
-// order. The traversal unit is a sibling pair (the root is a singleton
-// unit): each unit is expanded breadth-first for blockLevels levels —
-// that prefix is the block, stored contiguously — and the sibling pairs
-// left on the frontier become child units, pushed so the leftmost
-// subtree's blocks are emitted immediately after their parent block.
+// order, numbering each node with its position as it is placed. The
+// traversal unit is a sibling pair (the root is a singleton unit): each
+// unit is expanded breadth-first for blockLevels levels — that prefix is
+// the block, stored contiguously — and the sibling pairs left on the
+// frontier become child units, pushed so the leftmost subtree's blocks
+// are emitted immediately after their parent block (root-subtree-first).
 // Sibling adjacency holds everywhere: within a block children are
-// appended in Left,Right pairs, and across blocks a pair enters as one
+// appended in left,right pairs, and across blocks a pair enters as one
 // unit and opens its block together.
-func blockedOrder(root *Node) []*Node {
-	order := make([]*Node, 0, 64)
-	stack := [][2]*Node{{root, nil}}
-	var level, next []*Node
+func blockedOrder(root *node, nodes int) []*node {
+	order := make([]*node, 0, nodes)
+	stack := [][2]*node{{root, nil}}
+	var level, next []*node
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -181,105 +151,81 @@ func blockedOrder(root *Node) []*Node {
 			level = append(level, u[1])
 		}
 		for lvl := 0; lvl < blockLevels && len(level) > 0; lvl++ {
-			order = append(order, level...)
 			next = next[:0]
 			for _, nd := range level {
-				if !nd.IsLeaf() {
-					next = append(next, nd.Left, nd.Right)
+				nd.id = int32(len(order))
+				order = append(order, nd)
+				if nd.sep != nil {
+					next = append(next, nd.left, nd.right)
 				}
 			}
 			level, next = next, level
 		}
-		// The frontier below the block is a run of Left,Right pairs;
+		// The frontier below the block is a run of left,right pairs;
 		// push right-to-left so the leftmost pair's block comes next.
 		for i := len(level) - 2; i >= 0; i -= 2 {
-			stack = append(stack, [2]*Node{level[i], level[i+1]})
+			stack = append(stack, [2]*node{level[i], level[i+1]})
 		}
 	}
 	return order
 }
 
-// freezeOrder emits the flat arrays for the given node ordering. The
-// ordering must keep sibling pairs adjacent; the emission verifies the
-// invariant and fails loudly rather than freeze a tree whose descent
-// would branch to the wrong node.
-func freezeOrder(t *Tree, order []*Node, layout Layout) (*Frozen, error) {
-	dim := len(t.Sys.Centers[0])
-	// Kernels are captured once at freeze time from the active dispatch
-	// tier (KNN_KERNELS / vec.SetActiveTier). The eight-lane forms are
-	// nil on tiers or builds without assembly, which the scan loops
-	// treat as "use the four-wide path". The generic tier freezes with
-	// the flat kernels, no batch kernels at all, and skips the d=4..8
-	// inline descents, so a KNN_KERNELS=generic run (or a freeze under
-	// vec.SetActiveTier(vec.TierGeneric), knnbench's reference
-	// configuration) exercises the pre-dispatch arithmetic end to end.
-	// (The scan loops also rely on batch kernels reading only [0, dim)
-	// of the candidate's slot, which the flat generic batch kernel does
-	// not guarantee.)
+// emit lays the built tree out into the flat arrays, sized up front from
+// the root's subtree counts (a full binary tree over L leaves has 2L−1
+// nodes).
+func emit(sys *nbrsys.System, root *node) *Frozen {
+	dim := len(sys.Centers[0])
+	nodes := 2*root.st.Leaves - 1
+	stored := root.st.TotalStored
 	f := &Frozen{
-		dim:     dim,
-		stride:  dim + 1,
-		nstride: dim + 3,
-		layout:  layout,
-		dist2:   vec.Dist2Kernel(dim),
-		dot:     vec.DotKernel(dim),
-		generic: vec.ActiveTier() == vec.TierGeneric,
+		dim:       dim,
+		stride:    dim + 1,
+		nstride:   dim + 3,
+		kind:      make([]uint8, nodes),
+		child:     make([]int32, nodes),
+		sep:       make([]float64, nodes*(dim+3)),
+		punted:    make([]bool, nodes),
+		leafOff:   make([]int32, 1, root.st.Leaves+1),
+		leafBalls: make([]int32, 0, stored),
+		leafRecs:  make([]float64, 0, stored*(dim+1)),
 	}
-	if !f.generic {
-		f.batch4 = vec.Dist2Batch4Kernel(dim)
-		f.batch8 = vec.Dist2Batch8Kernel(dim)
-		f.strided8 = vec.Dist2Strided8Kernel(dim)
-	}
-	id := make(map[*Node]int32, len(order))
-	for i, nd := range order {
-		id[nd] = int32(i)
-	}
-	f.kind = make([]uint8, 0, len(order))
-	f.child = make([]int32, 0, len(order))
-	f.sep = make([]float64, 0, len(order)*f.nstride)
-	f.leafOff = append(f.leafOff, 0)
-	for _, nd := range order {
-		base := len(f.kind) * f.nstride
-		f.sep = f.sep[:base+f.nstride]
-		rec := f.sep[base : base+f.nstride]
-		if nd.IsLeaf() {
-			f.kind = append(f.kind, kindLeaf)
-			f.child = append(f.child, int32(len(f.leafOff)-1))
-			balls := make([]int32, len(nd.Balls))
-			for i, b := range nd.Balls {
-				balls[i] = int32(b)
+	f.setKernels()
+	for i, nd := range blockedOrder(root, nodes) {
+		if nd.sep == nil {
+			f.kind[i] = kindLeaf
+			f.child[i] = int32(len(f.leafOff) - 1)
+			lo := len(f.leafBalls)
+			for _, b := range nd.balls {
+				f.leafBalls = append(f.leafBalls, int32(b))
 			}
-			sort.Slice(balls, func(i, j int) bool { return balls[i] < balls[j] })
-			f.leafBalls = append(f.leafBalls, balls...)
-			f.leafOff = append(f.leafOff, int32(len(f.leafBalls)))
-			for _, b := range balls {
-				f.leafRecs = append(f.leafRecs, t.Sys.Centers[b]...)
-				r := t.Sys.Radii[b]
+			slices.Sort(f.leafBalls[lo:])
+			for _, b := range f.leafBalls[lo:] {
+				f.leafRecs = append(f.leafRecs, sys.Centers[b]...)
+				r := sys.Radii[b]
 				f.leafRecs = append(f.leafRecs, r*r)
 			}
+			f.leafOff = append(f.leafOff, int32(len(f.leafBalls)))
 			continue
 		}
-		switch sep := nd.Sep.(type) {
+		rec := f.sep[i*f.nstride : (i+1)*f.nstride]
+		switch sep := nd.sep.(type) {
 		case geom.Sphere:
-			f.kind = append(f.kind, kindSphere)
+			f.kind[i] = kindSphere
 			copy(rec, sep.Center)
 			rec[dim] = sep.Radius
 			rec[dim+1], rec[dim+2] = sqrtFreeBand(sep.Radius)
 		case geom.Halfspace:
-			f.kind = append(f.kind, kindHalf)
+			f.kind[i] = kindHalf
 			copy(rec, sep.Normal)
 			rec[dim] = sep.Offset
 		default:
-			return nil, fmt.Errorf("septree: cannot freeze separator type %T", nd.Sep)
+			// The separator search returns only spheres and halfspaces.
+			panic(fmt.Sprintf("septree: cannot emit separator type %T", nd.sep))
 		}
-		left := id[nd.Left]
-		if id[nd.Right] != left+1 {
-			return nil, fmt.Errorf("septree: layout %d broke sibling adjacency (left %d, right %d)",
-				layout, left, id[nd.Right])
-		}
-		f.child = append(f.child, left)
+		f.child[i] = nd.left.id
+		f.punted[i] = nd.punted
 	}
-	return f, nil
+	return f
 }
 
 // sqrtFreeBand returns [lo, hi] bracketing r² such that for any squared
@@ -314,6 +260,32 @@ func (f *Frozen) NumLeaves() int { return len(f.leafOff) - 1 }
 // StoredBalls returns Σ over leaves of stored ball ids (the Lemma 3.1
 // space quantity).
 func (f *Frozen) StoredBalls() int { return len(f.leafBalls) }
+
+// Separator returns node i's separator, rebuilt exactly from its record,
+// and the id of its left child (the right child is left+1). Node 0 is
+// the root. At a leaf it returns a nil separator.
+func (f *Frozen) Separator(i int32) (sep geom.Separator, left int32) {
+	base := int(i) * f.nstride
+	geo, scalar := vec.Vec(f.sep[base:base+f.dim:base+f.dim]), f.sep[base+f.dim]
+	switch f.kind[i] {
+	case kindSphere:
+		return geom.Sphere{Center: geo, Radius: scalar}, f.child[i]
+	case kindHalf:
+		return geom.Halfspace{Normal: geo, Offset: scalar}, f.child[i]
+	}
+	return nil, 0
+}
+
+// Punted reports whether the build's separator search at internal node
+// i fell back to a median hyperplane. Only the auditor reads it.
+func (f *Frozen) Punted(i int32) bool { return f.punted[i] }
+
+// LeafBalls returns leaf node i's ball ids, ascending. The slice shares
+// the structure's storage and must not be modified.
+func (f *Frozen) LeafBalls(i int32) []int32 {
+	slot := f.child[i]
+	return f.leafBalls[f.leafOff[slot]:f.leafOff[slot+1]]
+}
 
 // descend walks from the root to the leaf containing q and returns the
 // leaf's node id and the number of nodes visited on the way (leaf

@@ -37,8 +37,8 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TestFrozenMatchesTree is the layout-correctness contract: the frozen
-// form of a built tree returns exactly the ids, in ascending order, of
+// TestFrozenMatchesTree is the layout-correctness contract: the built
+// structure returns exactly the ids, in ascending order, of
 // the brute-force predicate over the neighborhood system — for both the
 // open and closed predicates, across dimensions, distributions, and
 // degenerate (forced-leaf) trees — and counts as visited exactly the
@@ -49,19 +49,15 @@ func TestFrozenMatchesTree(t *testing.T) {
 		for _, dist := range []pointgen.Dist{pointgen.UniformCube, pointgen.Clustered, pointgen.Annulus} {
 			pts := pointgen.Dedup(pointgen.MustGenerate(dist, 900, d, g.Split()))
 			sys := nbrsys.KNeighborhood(pts, 3)
-			tree, err := Build(sys, g.Split(), nil)
+			f, err := Build(sys, g.Split(), nil)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("build d=%d %s: %v", d, dist, err)
 			}
-			f, err := Freeze(tree)
-			if err != nil {
-				t.Fatalf("freeze d=%d %s: %v", d, dist, err)
+			if f.StoredBalls() != f.Stats.TotalStored {
+				t.Fatalf("stored balls %d, want %d", f.StoredBalls(), f.Stats.TotalStored)
 			}
-			if f.StoredBalls() != tree.Stats.TotalStored {
-				t.Fatalf("stored balls %d, want %d", f.StoredBalls(), tree.Stats.TotalStored)
-			}
-			if f.NumLeaves() != tree.Stats.Leaves {
-				t.Fatalf("leaves %d, want %d", f.NumLeaves(), tree.Stats.Leaves)
+			if f.NumLeaves() != f.Stats.Leaves {
+				t.Fatalf("leaves %d, want %d", f.NumLeaves(), f.Stats.Leaves)
 			}
 			var buf []int
 			var path []int32
@@ -93,7 +89,7 @@ func TestFrozenMatchesTree(t *testing.T) {
 	}
 }
 
-// TestFrozenForcedLeaf freezes a tree degenerate enough to be one
+// TestFrozenForcedLeaf builds a tree degenerate enough to be one
 // oversized leaf (identical centers) and checks queries still answer.
 func TestFrozenForcedLeaf(t *testing.T) {
 	centers := make([]vec.Vec, 100)
@@ -103,11 +99,7 @@ func TestFrozenForcedLeaf(t *testing.T) {
 		radii[i] = 0.5
 	}
 	sys := &nbrsys.System{Centers: centers, Radii: radii}
-	tree, err := Build(sys, xrand.New(3), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := Freeze(tree)
+	f, err := Build(sys, xrand.New(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +117,7 @@ func TestFrozenForcedLeaf(t *testing.T) {
 // per query, Result(i) must be byte-identical to a sequential frozen (and
 // brute-force) answer, for both predicates.
 func TestBatchMatchesSequential(t *testing.T) {
-	tree, pts := buildUniform(t, 1500, 2, 3, 11, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, sys, pts := buildUniform(t, 1500, 2, 3, 11, nil)
 	queries := queryMix(pts, 2, 501, 23)
 	for _, workers := range []int{1, 2, 4, 7} {
 		b := NewBatch(f, workers)
@@ -144,7 +132,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 			}
 			var buf []int
 			for i, q := range queries {
-				want := bruteCovering(tree.Sys, q, closed)
+				want := bruteCovering(sys, q, closed)
 				if closed {
 					buf, _, _ = f.CoveringClosed(q, buf[:0])
 				} else {
@@ -172,11 +160,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 // TestBatchZeroAllocSteadyState is the zero-alloc contract at the engine
 // layer: once arenas are warm, a Run performs no heap allocation.
 func TestBatchZeroAllocSteadyState(t *testing.T) {
-	tree, pts := buildUniform(t, 2000, 2, 3, 5, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _, pts := buildUniform(t, 2000, 2, 3, 5, nil)
 	queries := queryMix(pts, 2, 256, 9)
 	for _, workers := range []int{1, 4} {
 		b := NewBatch(f, workers)
@@ -192,15 +176,11 @@ func TestBatchZeroAllocSteadyState(t *testing.T) {
 // TestBatchEnginesConcurrent runs independent engines over one shared
 // Frozen from many goroutines — the immutability contract under -race.
 func TestBatchEnginesConcurrent(t *testing.T) {
-	tree, pts := buildUniform(t, 1200, 3, 2, 17, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, sys, pts := buildUniform(t, 1200, 3, 2, 17, nil)
 	queries := queryMix(pts, 3, 300, 41)
 	want := make([][]int, len(queries))
 	for i, q := range queries {
-		want[i] = bruteCovering(tree.Sys, q, false)
+		want[i] = bruteCovering(sys, q, false)
 	}
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
@@ -228,11 +208,7 @@ func TestBatchEnginesConcurrent(t *testing.T) {
 // TestBatchTinyAndEmpty covers the edge sizes: zero queries, one query,
 // fewer queries than strands.
 func TestBatchTinyAndEmpty(t *testing.T) {
-	tree, pts := buildUniform(t, 300, 2, 2, 29, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, sys, pts := buildUniform(t, 300, 2, 2, 29, nil)
 	b := NewBatch(f, 8)
 	b.Run(nil)
 	if b.Len() != 0 {
@@ -240,7 +216,7 @@ func TestBatchTinyAndEmpty(t *testing.T) {
 	}
 	q := [][]float64{pts[0]}
 	b.Run(q)
-	want := bruteCovering(tree.Sys, q[0], false)
+	want := bruteCovering(sys, q[0], false)
 	if !equalInts(b.Result(0), want) {
 		t.Fatalf("single-query batch %v, want %v", b.Result(0), want)
 	}

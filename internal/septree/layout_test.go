@@ -6,136 +6,79 @@ import (
 	"sepdc/internal/nbrsys"
 	"sepdc/internal/pointgen"
 	"sepdc/internal/vec"
+	"sepdc/internal/vm"
 	"sepdc/internal/xrand"
 )
 
-// TestLayoutsBitIdentical freezes the same tree under both node
-// orderings and checks every query observable — ids, order, nodes
-// visited, candidates scanned — is identical. The blocked layout is a
-// pure permutation of storage; any divergence here means the descent is
-// following a child pointer to the wrong record.
-func TestLayoutsBitIdentical(t *testing.T) {
-	g := xrand.New(41)
-	for _, d := range []int{1, 2, 3, 4, 5} {
-		pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.Clustered, 1100, d, g.Split()))
-		sys := nbrsys.KNeighborhood(pts, 3)
-		tree, err := Build(sys, g.Split(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blocked, err := FreezeLayout(tree, LayoutBlocked)
-		if err != nil {
-			t.Fatalf("d=%d blocked: %v", d, err)
-		}
-		bfs, err := FreezeLayout(tree, LayoutBFS)
-		if err != nil {
-			t.Fatalf("d=%d bfs: %v", d, err)
-		}
-		if blocked.NumNodes() != bfs.NumNodes() || blocked.NumLeaves() != bfs.NumLeaves() ||
-			blocked.StoredBalls() != bfs.StoredBalls() {
-			t.Fatalf("d=%d: layouts disagree on shape: nodes %d/%d leaves %d/%d stored %d/%d",
-				d, blocked.NumNodes(), bfs.NumNodes(), blocked.NumLeaves(), bfs.NumLeaves(),
-				blocked.StoredBalls(), bfs.StoredBalls())
-		}
-		var bOut, fOut []int
-		for qi, q := range queryMix(pts, d, 300, uint64(50+d)) {
-			for _, closed := range []bool{false, true} {
-				var bv, bs, fv, fs int
-				if closed {
-					bOut, bv, bs = blocked.CoveringClosed(q, bOut[:0])
-					fOut, fv, fs = bfs.CoveringClosed(q, fOut[:0])
-				} else {
-					bOut, bv, bs = blocked.Covering(q, bOut[:0])
-					fOut, fv, fs = bfs.Covering(q, fOut[:0])
-				}
-				if !equalInts(bOut, fOut) {
-					t.Fatalf("d=%d q=%d closed=%v: blocked %v, bfs %v", d, qi, closed, bOut, fOut)
-				}
-				if bv != fv || bs != fs {
-					t.Fatalf("d=%d q=%d closed=%v: counters (%d,%d) vs (%d,%d)",
-						d, qi, closed, bv, bs, fv, fs)
-				}
-			}
-		}
-	}
-}
-
-// TestLayoutsBitIdenticalForcedLeaf covers the degenerate single-leaf
-// tree (LeafSize above n makes the root absorb everything) under both
-// layouts — the blocked traversal's singleton-root unit edge case.
-func TestLayoutsBitIdenticalForcedLeaf(t *testing.T) {
-	g := xrand.New(43)
-	pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformCube, 200, 2, g.Split()))
-	sys := nbrsys.KNeighborhood(pts, 2)
-	tree, err := Build(sys, g.Split(), &Options{LeafSize: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocked, err := FreezeLayout(tree, LayoutBlocked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bfs, err := FreezeLayout(tree, LayoutBFS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bOut, fOut []int
-	for _, q := range queryMix(pts, 2, 100, 77) {
-		bOut, _, _ = blocked.Covering(q, bOut[:0])
-		fOut, _, _ = bfs.Covering(q, fOut[:0])
-		if !equalInts(bOut, fOut) {
-			t.Fatalf("forced-leaf: blocked %v, bfs %v", bOut, fOut)
-		}
-	}
-}
-
-// TestBlockedOrderPermutation checks blockedOrder visits every node of
-// the tree exactly once — it is a permutation of the BFS order, nothing
-// dropped, nothing doubled.
+// TestBlockedOrderPermutation checks blockedOrder places every node of
+// the scratch tree exactly once, numbers each with its position, puts
+// the root first and keeps every sibling pair adjacent — the
+// right = left+1 invariant the descent relies on.
 func TestBlockedOrderPermutation(t *testing.T) {
-	tree, _ := buildUniform(t, 1500, 3, 3, 19, nil)
-	bfs := bfsOrder(tree.Root)
-	blocked := blockedOrder(tree.Root)
-	if len(bfs) != len(blocked) {
-		t.Fatalf("blocked order has %d nodes, bfs %d", len(blocked), len(bfs))
+	g := xrand.New(19)
+	pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformCube, 1500, 3, g))
+	sys := nbrsys.KNeighborhood(pts, 3)
+	idx := make([]int, sys.Len())
+	for i := range idx {
+		idx[i] = i
 	}
-	seen := make(map[*Node]bool, len(blocked))
-	for _, nd := range blocked {
+	root := build(sys, idx, g.Split(), nil, vm.Sequential().NewCtx())
+	var all []*node
+	var walk func(nd *node)
+	walk = func(nd *node) {
+		all = append(all, nd)
+		if nd.sep != nil {
+			walk(nd.left)
+			walk(nd.right)
+		}
+	}
+	walk(root)
+	if len(all) != 2*root.st.Leaves-1 {
+		t.Fatalf("%d nodes over %d leaves", len(all), root.st.Leaves)
+	}
+	order := blockedOrder(root, len(all))
+	if len(order) != len(all) {
+		t.Fatalf("blocked order has %d nodes, tree %d", len(order), len(all))
+	}
+	seen := make(map[*node]bool, len(order))
+	for i, nd := range order {
 		if seen[nd] {
 			t.Fatal("blocked order visits a node twice")
 		}
 		seen[nd] = true
+		if nd.id != int32(i) {
+			t.Fatalf("node at position %d numbered %d", i, nd.id)
+		}
 	}
-	for _, nd := range bfs {
+	for _, nd := range all {
 		if !seen[nd] {
 			t.Fatal("blocked order drops a node")
 		}
+		if nd.sep != nil && nd.right.id != nd.left.id+1 {
+			t.Fatalf("siblings at %d and %d are not adjacent", nd.left.id, nd.right.id)
+		}
 	}
-	if blocked[0] != tree.Root {
+	if order[0] != root {
 		t.Fatal("root is not node 0 in blocked order")
 	}
 }
 
-// TestGenericTierFreeze pins knnbench's reference configuration: a tree
-// frozen under vec.TierGeneric captures the flat kernels, no batch
-// kernels, and skips the inline descents, yet answers with the same ids
-// and counters as the default freeze, at the specialized dimensions and
-// above the dispatch table.
+// TestGenericTierFreeze pins knnbench's reference configuration: a
+// structure re-frozen under vec.TierGeneric captures the flat kernels,
+// no batch kernels, and skips the inline descents, yet answers with the
+// same ids and counters as the build's own kernels, at the specialized
+// dimensions and above the dispatch table.
 func TestGenericTierFreeze(t *testing.T) {
 	g := xrand.New(47)
 	for _, d := range []int{4, 6, 9} {
 		pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformCube, 800, d, g.Split()))
 		sys := nbrsys.KNeighborhood(pts, 3)
-		tree, err := Build(sys, g.Split(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt, err := Freeze(tree)
+		opt, err := Build(sys, g.Split(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		prev := vec.SetActiveTier(vec.TierGeneric)
-		ref, err := Freeze(tree)
+		ref, err := Freeze(opt)
 		vec.SetActiveTier(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -166,11 +109,7 @@ func TestScanLeafBlockMatchesSequential(t *testing.T) {
 	for _, d := range []int{2, 4, 7} {
 		pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.Clustered, 1000, d, g.Split()))
 		sys := nbrsys.KNeighborhood(pts, 3)
-		tree, err := Build(sys, g.Split(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := Freeze(tree)
+		f, err := Build(sys, g.Split(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,6 +23,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"sepdc/internal/geom"
 	"sepdc/internal/nbrsys"
@@ -32,21 +34,6 @@ import (
 	"sepdc/internal/vm"
 	"sepdc/internal/xrand"
 )
-
-// Node is a search-tree node. Internal nodes have Sep != nil and two
-// children; leaves have Balls.
-type Node struct {
-	Sep    geom.Separator
-	Left   *Node
-	Right  *Node
-	Balls  []int // leaf payload: indices into the neighborhood system
-	Trials int   // separator candidates consumed at this node
-	Punted bool  // separator search fell back to a median hyperplane
-	Forced bool  // oversized leaf created after repeated no-progress
-}
-
-// IsLeaf reports whether n stores balls directly.
-func (n *Node) IsLeaf() bool { return n.Sep == nil }
 
 // Options configures construction.
 type Options struct {
@@ -59,11 +46,6 @@ type Options struct {
 	// Machine runs the two recursive builds in parallel and accrues the
 	// simulated cost. Nil selects a sequential machine.
 	Machine *vm.Machine
-	// RetriesOnNoProgress is how many times a node reruns the separator
-	// search when duplication of crossing balls prevents both children
-	// from shrinking. After the budget the node becomes an oversized leaf
-	// (recorded in Stats.ForcedLeaves). Zero selects 3.
-	RetriesOnNoProgress int
 	// Done aborts the build when closed (typically a context's Done
 	// channel): the recursion stops descending and Build returns
 	// context.Canceled. Nil disables the probe.
@@ -96,12 +78,11 @@ func (o *Options) leafSize(d int) int {
 	return 32 << uint(d-3) // 64 at d=4, 128 at d=5, …
 }
 
-func (o *Options) retries() int {
-	if o == nil || o.RetriesOnNoProgress <= 0 {
-		return 3
-	}
-	return o.RetriesOnNoProgress
-}
+// retriesOnNoProgress is how many times a node reruns the separator
+// search when duplication of crossing balls prevents both children from
+// shrinking. After the budget the node becomes an oversized leaf
+// (recorded in BuildStats.ForcedLeaves).
+const retriesOnNoProgress = 3
 
 func (o *Options) machine() *vm.Machine {
 	if o == nil || o.Machine == nil {
@@ -129,69 +110,78 @@ type BuildStats struct {
 	Cost            vm.Cost // simulated vector-model cost of the build
 }
 
-// Tree is the query structure over a neighborhood system.
-type Tree struct {
-	Sys   *nbrsys.System
-	Root  *Node
-	Stats BuildStats
+// node is the build's scratch form of one tree node. It never leaves
+// Build: once the recursion returns, emit lays the tree out into the
+// Frozen's flat arrays.
+type node struct {
+	sep         geom.Separator // nil at a leaf
+	left, right *node
+	balls       []int      // leaf payload: indices into the neighborhood system
+	punted      bool       // separator search fell back to a median hyperplane
+	id          int32      // position in the emitted node order
+	st          BuildStats // statistics of the subtree rooted here (Cost unset)
 }
 
-// Build constructs the search structure. A build whose Options.Done
-// channel closes mid-recursion is abandoned and returns context.Canceled.
-func Build(sys *nbrsys.System, g *xrand.RNG, opts *Options) (*Tree, error) {
+// Build constructs the search structure and returns it in its flat,
+// query-ready form. A build whose Options.Done channel closes
+// mid-recursion is abandoned and returns context.Canceled.
+func Build(sys *nbrsys.System, g *xrand.RNG, opts *Options) (*Frozen, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
 	if sys.Len() == 0 {
 		return nil, errors.New("septree: empty neighborhood system")
 	}
-	t := &Tree{Sys: sys}
 	idx := make([]int, sys.Len())
 	for i := range idx {
 		idx[i] = i
 	}
 	ctx := opts.machine().NewCtx()
-	t.Root = build(sys, idx, g, opts, ctx)
+	root := build(sys, idx, g, opts, ctx)
 	if opts.cancelled() {
 		// Cancellation collapses subtrees to nil nodes; the partial tree
-		// is unusable, so report the abort rather than summarize it.
+		// is unusable, so report the abort rather than emit it.
 		return nil, context.Canceled
 	}
-	t.Stats = summarize(t.Root)
-	t.Stats.Cost = ctx.Cost()
+	f := emit(sys, root)
+	f.Stats = root.st
+	f.Stats.Cost = ctx.Cost()
 	if obs.On() {
 		obs.Add(obs.GSeptreeBuilds, 1)
-		obs.Add(obs.GSeptreeForced, int64(t.Stats.ForcedLeaves))
+		obs.Add(obs.GSeptreeForced, int64(f.Stats.ForcedLeaves))
 	}
-	return t, nil
+	return f, nil
 }
 
 // BuildContext is Build under a context: the context's Done channel is
 // installed as Options.Done and a cancelled build returns ctx.Err().
-func BuildContext(cx context.Context, sys *nbrsys.System, g *xrand.RNG, opts *Options) (*Tree, error) {
+func BuildContext(cx context.Context, sys *nbrsys.System, g *xrand.RNG, opts *Options) (*Frozen, error) {
 	o := Options{}
 	if opts != nil {
 		o = *opts
 	}
 	o.Done = cx.Done()
-	t, err := Build(sys, g, &o)
+	f, err := Build(sys, g, &o)
 	if err != nil {
 		if cerr := cx.Err(); cerr != nil {
 			return nil, cerr
 		}
 		return nil, err
 	}
-	return t, nil
+	return f, nil
 }
 
-func build(sys *nbrsys.System, idx []int, g *xrand.RNG, opts *Options, ctx *vm.Ctx) *Node {
+// build is the fork-join recursion. It returns nil once the build is
+// cancelled; otherwise every returned node carries its subtree's
+// statistics, summed on the way back up.
+func build(sys *nbrsys.System, idx []int, g *xrand.RNG, opts *Options, ctx *vm.Ctx) *node {
 	if opts.cancelled() {
 		return nil
 	}
 	m := len(idx)
 	if m <= opts.leafSize(len(sys.Centers[idx[0]])) {
 		ctx.Prim(m) // emit leaf: one vector write
-		return &Node{Balls: idx}
+		return leaf(idx, 0, false, false)
 	}
 	centers := make([]vec.Vec, m)
 	for i, j := range idx {
@@ -203,27 +193,14 @@ func build(sys *nbrsys.System, idx []int, g *xrand.RNG, opts *Options, ctx *vm.C
 		if err != nil {
 			// Degenerate subset (e.g. all centers identical): leaf out.
 			ctx.Prim(m)
-			return &Node{Balls: idx, Trials: trials, Forced: true}
+			return leaf(idx, trials, false, true)
 		}
 		trials += res.Trials
 		punted = punted || res.Punted
 		// Each candidate trial is O(1) vector steps over the node's points.
 		ctx.PrimK(res.Trials, m)
 
-		// Classify the node's balls against the separator; crossing balls
-		// are duplicated into both children (Section 3.2).
-		var left, right []int
-		for _, j := range idx {
-			switch res.Sep.ClassifyBall(sys.Centers[j], sys.Radii[j]) {
-			case geom.Interior:
-				left = append(left, j)
-			case geom.Exterior:
-				right = append(right, j)
-			default:
-				left = append(left, j)
-				right = append(right, j)
-			}
-		}
+		left, right := split(sys, res.Sep, idx)
 		ctx.PrimK(2, m) // classify + pack
 
 		// Progress guard: crossing-ball duplication must not be allowed to
@@ -239,108 +216,162 @@ func build(sys *nbrsys.System, idx []int, g *xrand.RNG, opts *Options, ctx *vm.C
 			limit = m - m/20
 		}
 		if len(left) <= limit && len(right) <= limit && len(left) > 0 && len(right) > 0 {
-			node := &Node{Sep: res.Sep, Trials: trials, Punted: punted}
+			nd := &node{sep: res.Sep, punted: punted}
 			// Split the RNG before forking so the stream handed to each
 			// branch does not depend on execution interleaving.
 			gl, gr := g.Split(), g.Split()
 			ctx.Fork(
-				func(c *vm.Ctx) { node.Left = build(sys, left, gl, opts, c) },
-				func(c *vm.Ctx) { node.Right = build(sys, right, gr, opts, c) },
+				func(c *vm.Ctx) { nd.left = build(sys, left, gl, opts, c) },
+				func(c *vm.Ctx) { nd.right = build(sys, right, gr, opts, c) },
 			)
-			return node
+			if nd.left == nil || nd.right == nil {
+				return nil
+			}
+			l, r := &nd.left.st, &nd.right.st
+			nd.st = BuildStats{
+				Height:          1 + max(l.Height, r.Height),
+				Leaves:          l.Leaves + r.Leaves,
+				TotalStored:     l.TotalStored + r.TotalStored,
+				SeparatorTrials: trials + l.SeparatorTrials + r.SeparatorTrials,
+				CriticalTrials:  trials + max(l.CriticalTrials, r.CriticalTrials),
+				Punts:           l.Punts + r.Punts,
+				ForcedLeaves:    l.ForcedLeaves + r.ForcedLeaves,
+			}
+			if punted {
+				nd.st.Punts++
+			}
+			return nd
 		}
-		if attempt >= opts.retries() {
+		if attempt >= retriesOnNoProgress {
 			// Crossing-ball duplication defeated the split repeatedly
 			// (legitimately possible when ball radii are huge relative to
 			// the subset's extent). An oversized leaf keeps queries correct
 			// at O(m) leaf-scan cost.
 			ctx.Prim(m)
-			return &Node{Balls: idx, Trials: trials, Punted: punted, Forced: true}
+			return leaf(idx, trials, punted, true)
 		}
 	}
 }
 
-func summarize(root *Node) BuildStats {
-	var st BuildStats
-	var walk func(n *Node, depth, trialSum int)
-	walk = func(n *Node, depth, trialSum int) {
-		trialSum += n.Trials
-		if depth > st.Height {
-			st.Height = depth
-		}
-		st.SeparatorTrials += n.Trials
-		if n.Punted {
-			st.Punts++
-		}
-		if n.Forced {
-			st.ForcedLeaves++
-		}
-		if n.IsLeaf() {
-			st.Leaves++
-			st.TotalStored += len(n.Balls)
-			if trialSum > st.CriticalTrials {
-				st.CriticalTrials = trialSum
-			}
-			return
-		}
-		walk(n.Left, depth+1, trialSum)
-		walk(n.Right, depth+1, trialSum)
+// leaf returns a leaf over idx with its one-leaf statistics.
+func leaf(idx []int, trials int, punted, forced bool) *node {
+	st := BuildStats{Height: 1, Leaves: 1, TotalStored: len(idx), SeparatorTrials: trials, CriticalTrials: trials}
+	if punted {
+		st.Punts = 1
 	}
-	walk(root, 1, 0)
-	return st
+	if forced {
+		st.ForcedLeaves = 1
+	}
+	return &node{balls: idx, st: st}
 }
 
-// Validate checks the structural invariants the correctness proof relies
-// on, for tests and debugging:
+// split classifies the balls idx against sep, preserving their order;
+// crossing balls are duplicated into both sides (Section 3.2).
+func split(sys *nbrsys.System, sep geom.Separator, idx []int) (left, right []int) {
+	for _, j := range idx {
+		switch sep.ClassifyBall(sys.Centers[j], sys.Radii[j]) {
+		case geom.Interior:
+			left = append(left, j)
+		case geom.Exterior:
+			right = append(right, j)
+		default:
+			left = append(left, j)
+			right = append(right, j)
+		}
+	}
+	return left, right
+}
+
+// Validate checks the structure against the neighborhood system it was
+// built over, for tests and debugging:
 //
-//  1. every internal node has two children and a separator; every leaf has
-//     a (possibly oversized) ball list and no children;
-//  2. ball containment: a ball stored in a subtree is admitted there by
-//     every ancestor separator (interior side for left subtrees, exterior
-//     for right, crossing for both);
-//  3. completeness: every ball of the system is stored in at least one
-//     leaf, and in *every* leaf whose region its geometry reaches.
-func (t *Tree) Validate() error {
-	stored := make(map[int]bool, t.Sys.Len())
-	var walk func(n *Node, admits func(i int) bool) error
-	walk = func(n *Node, admits func(i int) bool) error {
-		if n == nil {
-			return errors.New("septree: nil node")
+//  1. shape: the arrays fit a full binary tree (2L−1 nodes over L leaf
+//     slots), every child id lies after its parent and inside the node
+//     array, and walking left/left+1 sibling pairs from the root reaches
+//     every node and every leaf slot exactly once;
+//  2. separators: every internal node is a sphere, whose r² band is
+//     exactly the one its radius yields, or a halfspace;
+//  3. partition: splitting the balls at each separator rebuilt from its
+//     record, as the build does, leaves at each leaf exactly the ids it
+//     stores, strictly ascending — so every ball is stored in every leaf
+//     its geometry reaches, and nowhere else;
+//  4. records: each inlined leaf record equals the ball's center and
+//     r*r, bit for bit.
+func (f *Frozen) Validate(sys *nbrsys.System) error {
+	nodes, leaves := len(f.kind), len(f.leafOff)-1
+	if sys == nil || sys.Len() == 0 || len(sys.Centers[0]) != f.dim || leaves < 1 || nodes != 2*leaves-1 ||
+		len(f.child) != nodes || len(f.punted) != nodes || len(f.sep) != nodes*f.nstride ||
+		f.leafOff[0] != 0 || int(f.leafOff[leaves]) != len(f.leafBalls) || len(f.leafRecs) != len(f.leafBalls)*f.stride {
+		return errors.New("septree: array lengths do not fit one tree over the system")
+	}
+	seen, slotSeen := make([]bool, nodes), make([]bool, leaves)
+	var walk func(i int32, idx []int) error
+	walk = func(i int32, idx []int) error {
+		if seen[i] {
+			return fmt.Errorf("septree: node %d reached twice", i)
 		}
-		if n.IsLeaf() {
-			if n.Left != nil || n.Right != nil {
-				return errors.New("septree: leaf with children")
-			}
-			for _, i := range n.Balls {
-				if !admits(i) {
-					return fmt.Errorf("septree: ball %d stored outside its admissible region", i)
-				}
-				stored[i] = true
-			}
-			return nil
+		seen[i] = true
+		if f.kind[i] == kindLeaf {
+			return f.validateLeaf(sys, i, idx, slotSeen)
 		}
-		if n.Left == nil || n.Right == nil {
-			return errors.New("septree: internal node missing a child")
+		sep, left := f.Separator(i)
+		if sep == nil {
+			return fmt.Errorf("septree: node %d has unknown kind %d", i, f.kind[i])
 		}
-		sep := n.Sep
-		leftAdmits := func(i int) bool {
-			return admits(i) && sep.ClassifyBall(t.Sys.Centers[i], t.Sys.Radii[i]) != geom.Exterior
+		rec := f.sep[int(i)*f.nstride : int(i+1)*f.nstride]
+		lo, hi := sqrtFreeBand(rec[f.dim])
+		if f.kind[i] == kindSphere && (!sameBits(lo, rec[f.dim+1]) || !sameBits(hi, rec[f.dim+2])) {
+			return fmt.Errorf("septree: node %d r² band does not match its radius", i)
 		}
-		rightAdmits := func(i int) bool {
-			return admits(i) && sep.ClassifyBall(t.Sys.Centers[i], t.Sys.Radii[i]) != geom.Interior
+		if left <= i || int(left)+1 >= nodes {
+			return fmt.Errorf("septree: node %d child pair %d,%d out of range", i, left, left+1)
 		}
-		if err := walk(n.Left, leftAdmits); err != nil {
+		l, r := split(sys, sep, idx)
+		if err := walk(left, l); err != nil {
 			return err
 		}
-		return walk(n.Right, rightAdmits)
+		return walk(left+1, r)
 	}
-	if err := walk(t.Root, func(int) bool { return true }); err != nil {
+	idx := make([]int, sys.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	if err := walk(0, idx); err != nil {
 		return err
 	}
-	for i := 0; i < t.Sys.Len(); i++ {
-		if !stored[i] {
-			return fmt.Errorf("septree: ball %d not stored in any leaf", i)
+	if i := slices.Index(seen, false); i >= 0 {
+		return fmt.Errorf("septree: node %d unreachable from the root", i)
+	}
+	return nil
+}
+
+// validateLeaf checks leaf node i against idx, the ascending ids of the
+// balls its region admits.
+func (f *Frozen) validateLeaf(sys *nbrsys.System, i int32, idx []int, slotSeen []bool) error {
+	slot := f.child[i]
+	if slot < 0 || int(slot) >= len(slotSeen) || slotSeen[slot] {
+		return fmt.Errorf("septree: leaf %d has bad or shared slot %d", i, slot)
+	}
+	slotSeen[slot] = true
+	lo, hi := f.leafOff[slot], f.leafOff[slot+1]
+	if lo < 0 || lo > hi || int(hi) > len(f.leafBalls) {
+		return fmt.Errorf("septree: leaf %d offsets [%d, %d) out of range", i, lo, hi)
+	}
+	balls := f.leafBalls[lo:hi]
+	if len(balls) != len(idx) {
+		return fmt.Errorf("septree: leaf %d stores %d balls, its region admits %d", i, len(balls), len(idx))
+	}
+	for k, b := range balls {
+		if int(b) != idx[k] { // idx ascends strictly, so the stored ids must too
+			return fmt.Errorf("septree: leaf %d stores ball %d where its region admits %d", i, b, idx[k])
+		}
+		rec := f.leafRecs[(int(lo)+k)*f.stride : (int(lo)+k+1)*f.stride]
+		r := sys.Radii[b]
+		if !slices.EqualFunc(rec[:f.dim], sys.Centers[b], sameBits) || !sameBits(rec[f.dim], r*r) {
+			return fmt.Errorf("septree: leaf %d record of ball %d differs from the system", i, b)
 		}
 	}
 	return nil
 }
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -2,36 +2,30 @@ package septree
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sepdc/internal/brute"
+	"sepdc/internal/chaos"
 	"sepdc/internal/geom"
 	"sepdc/internal/nbrsys"
 	"sepdc/internal/pointgen"
+	"sepdc/internal/separator"
 	"sepdc/internal/vec"
 	"sepdc/internal/vm"
 	"sepdc/internal/xrand"
 )
 
-func buildUniform(t testing.TB, n, d, k int, seed uint64, opts *Options) (*Tree, []vec.Vec) {
+func buildUniform(t testing.TB, n, d, k int, seed uint64, opts *Options) (*Frozen, *nbrsys.System, []vec.Vec) {
 	t.Helper()
 	g := xrand.New(seed)
 	pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformCube, n, d, g))
 	sys := nbrsys.KNeighborhood(pts, k)
-	tree, err := Build(sys, g.Split(), opts)
+	f, err := Build(sys, g.Split(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tree, pts
-}
-
-func mustFreeze(t testing.TB, tree *Tree) *Frozen {
-	t.Helper()
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
+	return f, sys, pts
 }
 
 // bruteCovering is the reference every query engine answers to: the ids,
@@ -50,8 +44,7 @@ func bruteCovering(sys *nbrsys.System, q []float64, closed bool) []int {
 }
 
 func TestQueryMatchesBrute(t *testing.T) {
-	tree, pts := buildUniform(t, 2000, 2, 2, 1, nil)
-	f := mustFreeze(t, tree)
+	f, sys, pts := buildUniform(t, 2000, 2, 2, 1, nil)
 	g := xrand.New(99)
 	var got []int
 	for trial := 0; trial < 200; trial++ {
@@ -62,7 +55,7 @@ func TestQueryMatchesBrute(t *testing.T) {
 			q = vec.Vec(g.InCube(2))
 		}
 		got, _, _ = f.Covering(q, got[:0])
-		if want := bruteCovering(tree.Sys, q, false); !equalInts(got, want) {
+		if want := bruteCovering(sys, q, false); !equalInts(got, want) {
 			t.Fatalf("trial %d: Covering found %v, brute %v", trial, got, want)
 		}
 	}
@@ -74,11 +67,10 @@ func TestQueryAcrossDistributionsAndDims(t *testing.T) {
 		for _, d := range []int{2, 3} {
 			pts := pointgen.Dedup(pointgen.MustGenerate(dist, 800, d, g.Split()))
 			sys := nbrsys.KNeighborhood(pts, 3)
-			tree, err := Build(sys, g.Split(), nil)
+			f, err := Build(sys, g.Split(), nil)
 			if err != nil {
 				t.Fatalf("%s d=%d: %v", dist, d, err)
 			}
-			f := mustFreeze(t, tree)
 			var got []int
 			for trial := 0; trial < 40; trial++ {
 				q := pts[g.IntN(len(pts))]
@@ -97,7 +89,10 @@ func TestCoveringClosedIncludesBoundary(t *testing.T) {
 		Centers: []vec.Vec{vec.Of(0, 0), vec.Of(10, 10)},
 		Radii:   []float64{1, 1},
 	}
-	f := mustFreeze(t, &Tree{Sys: sys, Root: &Node{Balls: []int{0, 1}}})
+	f, err := Build(sys, xrand.New(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	onBoundary := vec.Of(1, 0)
 	open, _, _ := f.Covering(onBoundary, nil)
 	closed, _, _ := f.CoveringClosed(onBoundary, nil)
@@ -115,8 +110,8 @@ func TestCoveringClosedIncludesBoundary(t *testing.T) {
 func TestHeightLogarithmic(t *testing.T) {
 	// Lemma 3.1: height O(log n). Compare two sizes: quadrupling n should
 	// add roughly 2/log2(1/δ') levels, not multiply the height.
-	tree1, _ := buildUniform(t, 1000, 2, 1, 3, nil)
-	tree2, _ := buildUniform(t, 4000, 2, 1, 4, nil)
+	tree1, _, _ := buildUniform(t, 1000, 2, 1, 3, nil)
+	tree2, _, _ := buildUniform(t, 4000, 2, 1, 4, nil)
 	h1, h2 := tree1.Stats.Height, tree2.Stats.Height
 	if h2 > h1+14 {
 		t.Errorf("height grew from %d to %d on 4x points; not logarithmic", h1, h2)
@@ -129,7 +124,7 @@ func TestHeightLogarithmic(t *testing.T) {
 
 func TestSpaceLinear(t *testing.T) {
 	// Lemma 3.1: total stored balls O(n) despite crossing-ball duplication.
-	tree, pts := buildUniform(t, 4000, 2, 1, 5, nil)
+	tree, _, pts := buildUniform(t, 4000, 2, 1, 5, nil)
 	if tree.Stats.TotalStored > 4*len(pts) {
 		t.Errorf("stored %d balls for n=%d; space not linear", tree.Stats.TotalStored, len(pts))
 	}
@@ -142,21 +137,16 @@ func TestEveryBallReachable(t *testing.T) {
 	// Each ball must be stored in at least one leaf, and the leaf reached
 	// by querying its center must contain it (it covers its own center
 	// only if radius > 0; we check storage membership instead).
-	tree, _ := buildUniform(t, 1500, 3, 2, 6, nil)
-	seen := make(map[int]bool)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.IsLeaf() {
-			for _, j := range n.Balls {
+	f, sys, _ := buildUniform(t, 1500, 3, 2, 6, nil)
+	seen := make(map[int32]bool)
+	for i := range f.kind {
+		if f.kind[i] == kindLeaf {
+			for _, j := range f.LeafBalls(int32(i)) {
 				seen[j] = true
 			}
-			return
 		}
-		walk(n.Left)
-		walk(n.Right)
 	}
-	walk(tree.Root)
-	for i := 0; i < tree.Sys.Len(); i++ {
+	for i := int32(0); i < int32(sys.Len()); i++ {
 		if !seen[i] {
 			t.Fatalf("ball %d not stored in any leaf", i)
 		}
@@ -166,7 +156,7 @@ func TestEveryBallReachable(t *testing.T) {
 func TestCriticalTrialsLogarithmic(t *testing.T) {
 	// Theorem 3.1: the separator-call sequence along any root-leaf path is
 	// O(log n) with high probability.
-	tree, pts := buildUniform(t, 8000, 2, 1, 7, nil)
+	tree, _, pts := buildUniform(t, 8000, 2, 1, 7, nil)
 	logN := math.Log2(float64(len(pts)))
 	if float64(tree.Stats.CriticalTrials) > 12*logN {
 		t.Errorf("critical trials %d >> O(log n) = %v", tree.Stats.CriticalTrials, logN)
@@ -205,7 +195,7 @@ func TestParallelBuildMatchesCostModel(t *testing.T) {
 		t.Errorf("cost model depends on execution: %v vs %v", seq.Stats.Cost, par.Stats.Cost)
 	}
 	// Verify correctness of the parallel tree.
-	f := mustFreeze(t, par)
+	f := par
 	gq := xrand.New(9)
 	var got []int
 	for trial := 0; trial < 50; trial++ {
@@ -219,8 +209,7 @@ func TestParallelBuildMatchesCostModel(t *testing.T) {
 }
 
 func TestQueryCostLogarithmic(t *testing.T) {
-	tree, pts := buildUniform(t, 8000, 2, 1, 10, nil)
-	f := mustFreeze(t, tree)
+	f, _, pts := buildUniform(t, 8000, 2, 1, 10, nil)
 	g := xrand.New(11)
 	maxVisited := 0
 	var balls []int
@@ -241,56 +230,105 @@ func TestValidateOnBuiltTrees(t *testing.T) {
 	for _, dist := range []pointgen.Dist{pointgen.UniformCube, pointgen.Clustered, pointgen.Annulus} {
 		pts := pointgen.Dedup(pointgen.MustGenerate(dist, 1200, 2, g.Split()))
 		sys := nbrsys.KNeighborhood(pts, 2)
-		tree, err := Build(sys, g.Split(), nil)
+		f, err := Build(sys, g.Split(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", dist, err)
 		}
-		if err := tree.Validate(); err != nil {
+		if err := f.Validate(sys); err != nil {
 			t.Errorf("%s: %v", dist, err)
 		}
 	}
 }
 
+// TestValidateUnderChaos validates builds whose separator search runs
+// under each fault-injection profile (the KNN_CHAOS specs of the chaos
+// matrix): the punt and fallback paths must still emit a well-formed
+// structure.
+func TestValidateUnderChaos(t *testing.T) {
+	for _, spec := range []string{
+		"sep-fail=2", "sep-fail=all", "punt=all", "punt=0,1", "march-abort=all",
+		"march-level=1", "stall=200us", "sep-fail=1;punt=2,3;march-level=2",
+		"sep-fail=all;punt=all;march-abort=all;march-level=1;stall=100us",
+	} {
+		inj, err := chaos.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []int{2, 3} {
+			g := xrand.New(uint64(60 + d))
+			sys := nbrsys.KNeighborhood(pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformCube, 600, d, g)), 3)
+			f, err := Build(sys, g.Split(), &Options{Sep: &separator.Options{Chaos: inj}})
+			if err != nil {
+				t.Fatalf("%s d=%d: %v", spec, d, err)
+			}
+			if err := f.Validate(sys); err != nil {
+				t.Errorf("%s d=%d: %v", spec, d, err)
+			}
+		}
+	}
+}
+
+// TestValidateDetectsCorruption corrupts each flat array of a valid
+// structure in turn and requires Validate to reject every corruption.
 func TestValidateDetectsCorruption(t *testing.T) {
-	tree, _ := buildUniform(t, 500, 2, 1, 56, nil)
-	if err := tree.Validate(); err != nil {
+	f, sys, _ := buildUniform(t, 500, 2, 1, 56, nil)
+	if err := f.Validate(sys); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt: drop a ball from the first leaf found.
-	var leaf *Node
-	var find func(n *Node)
-	find = func(n *Node) {
-		if leaf != nil {
-			return
+	sphere := int32(-1)
+	for i, k := range f.kind {
+		if k == kindSphere {
+			sphere = int32(i)
+			break
 		}
-		if n.IsLeaf() {
-			if len(n.Balls) > 0 {
-				leaf = n
+	}
+	if sphere < 0 || f.NumLeaves() < 2 {
+		t.Fatal("fixture has no sphere separator")
+	}
+	d := f.dim
+	cases := []struct {
+		name string
+		bad  func(g *Frozen)
+	}{
+		{"kind: root made a leaf", func(g *Frozen) { g.kind[0] = kindLeaf }},
+		{"kind: unknown", func(g *Frozen) { g.kind[0] = 7 }},
+		{"child: out of range", func(g *Frozen) { g.child[0] = int32(len(g.child)) }},
+		{"child: points back to the root", func(g *Frozen) { g.child[0] = 0 }},
+		{"child: shared leaf slot", func(g *Frozen) {
+			var leaves []int
+			for i, k := range g.kind {
+				if k == kindLeaf {
+					leaves = append(leaves, i)
+				}
 			}
-			return
+			g.child[leaves[1]] = g.child[leaves[0]]
+		}},
+		{"sep: r² band", func(g *Frozen) { g.sep[int(sphere)*g.nstride+d+2] *= 2 }},
+		{"sep: radius with a consistent band", func(g *Frozen) {
+			rec := g.sep[int(sphere)*g.nstride:]
+			rec[d] = 0
+			rec[d+1], rec[d+2] = sqrtFreeBand(0)
+		}},
+		{"sep: center", func(g *Frozen) { g.sep[int(sphere)*g.nstride] += 1e6 }},
+		{"leafOff: shifted", func(g *Frozen) { g.leafOff[1]++ }},
+		{"leafBalls: dropped ball", func(g *Frozen) { g.leafBalls[1] = g.leafBalls[0] }},
+		{"leafBalls: foreign ball", func(g *Frozen) { g.leafBalls[len(g.leafBalls)-1] = int32(sys.Len()) }},
+		{"leafRecs: center", func(g *Frozen) { g.leafRecs[0] = math.Nextafter(g.leafRecs[0], math.Inf(1)) }},
+		{"leafRecs: r²", func(g *Frozen) { g.leafRecs[d] = math.Nextafter(g.leafRecs[d], math.Inf(1)) }},
+		{"length", func(g *Frozen) { g.punted = g.punted[1:] }},
+	}
+	for _, c := range cases {
+		g := *f
+		g.kind, g.child, g.sep, g.punted = slices.Clone(f.kind), slices.Clone(f.child), slices.Clone(f.sep), slices.Clone(f.punted)
+		g.leafOff, g.leafBalls, g.leafRecs = slices.Clone(f.leafOff), slices.Clone(f.leafBalls), slices.Clone(f.leafRecs)
+		c.bad(&g)
+		if err := g.Validate(sys); err == nil {
+			t.Errorf("%s: corruption not detected", c.name)
 		}
-		find(n.Left)
-		find(n.Right)
 	}
-	find(tree.Root)
-	saved := leaf.Balls
-	leaf.Balls = leaf.Balls[1:]
-	err := tree.Validate()
-	leaf.Balls = saved
-	// Removing one copy may or may not orphan the ball (it can live in a
-	// sibling via crossing duplication) — but corrupting an internal node
-	// must always be caught:
-	inner := tree.Root
-	if inner.IsLeaf() {
-		t.Skip("tree degenerated to a leaf")
+	if err := f.Validate(sys); err != nil {
+		t.Fatalf("corruptions leaked into the original: %v", err)
 	}
-	savedChild := inner.Left
-	inner.Left = nil
-	if verr := tree.Validate(); verr == nil {
-		t.Error("nil child not detected")
-	}
-	inner.Left = savedChild
-	_ = err // the ball-drop case is allowed to pass; see comment
 }
 
 func TestBuildRejectsBadInput(t *testing.T) {
@@ -308,14 +346,14 @@ func TestBuildTinySystemIsLeaf(t *testing.T) {
 		Centers: []vec.Vec{vec.Of(0, 0), vec.Of(1, 1)},
 		Radii:   []float64{0.5, 0.5},
 	}
-	tree, err := Build(sys, xrand.New(1), nil)
+	f, err := Build(sys, xrand.New(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tree.Root.IsLeaf() {
+	if f.NumNodes() != 1 {
 		t.Error("tiny system should be a single leaf")
 	}
-	got, _, _ := mustFreeze(t, tree).Covering(vec.Of(0, 0), nil)
+	got, _, _ := f.Covering(vec.Of(0, 0), nil)
 	if len(got) != 1 || got[0] != 0 {
 		t.Errorf("tiny query = %v", got)
 	}
@@ -334,7 +372,7 @@ func TestBuildIdenticalCentersTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, _ := mustFreeze(t, tree).Covering(vec.Of(1, 1), nil)
+	got, _, _ := tree.Covering(vec.Of(1, 1), nil)
 	if len(got) != n {
 		t.Errorf("identical-center query = %d, want %d", len(got), n)
 	}
@@ -344,15 +382,14 @@ func TestBuildIdenticalCentersTerminates(t *testing.T) {
 }
 
 func TestLeafSizeOption(t *testing.T) {
-	tree, _ := buildUniform(t, 500, 2, 1, 12, &Options{LeafSize: 64})
-	var walk func(n *Node) bool
-	walk = func(n *Node) bool {
-		if n.IsLeaf() {
-			return len(n.Balls) <= 64 || n.Trials > 0 // forced leaves may exceed
+	f, _, _ := buildUniform(t, 500, 2, 1, 12, &Options{LeafSize: 64})
+	oversized := 0
+	for i, k := range f.kind {
+		if k == kindLeaf && len(f.LeafBalls(int32(i))) > 64 {
+			oversized++
 		}
-		return walk(n.Left) && walk(n.Right)
 	}
-	if !walk(tree.Root) {
-		t.Error("leaf size constraint violated")
+	if oversized > f.Stats.ForcedLeaves { // only forced leaves may exceed
+		t.Errorf("%d leaves above the leaf size, %d forced", oversized, f.Stats.ForcedLeaves)
 	}
 }

@@ -166,10 +166,10 @@ type AuditConfig = audit.Config
 type AuditReport = audit.Report
 
 // Audit re-measures the paper's invariants on the built structure:
-// it re-walks the separator tree re-deriving every node's subset from
-// scratch (same classification the build used), and probes the frozen
-// serving engine with the given queries to sample Theorem 3.1's cost
-// bound. Probe queries must match the structure's dimension; pass nil to
+// it walks the served structure's nodes, re-deriving every node's subset
+// from scratch by classifying the balls against each stored separator
+// (the classification the build used), and probes the structure with
+// the given queries to sample Theorem 3.1's cost bound. Probe queries must match the structure's dimension; pass nil to
 // skip the query-cost checks.
 func (qs *QueryStructure) Audit(probes [][]float64, cfg AuditConfig) (*AuditReport, error) {
 	for i, q := range probes {
@@ -180,7 +180,7 @@ func (qs *QueryStructure) Audit(probes [][]float64, cfg AuditConfig) (*AuditRepo
 	if cfg.K == 0 {
 		cfg.K = qs.k
 	}
-	return audit.Audit(qs.tree, qs.frozen, probes, cfg)
+	return audit.Audit(qs.frozen, qs.sys, probes, cfg)
 }
 
 // Snapshot returns the build statistics as machine-readable JSON —

@@ -19,15 +19,15 @@ import (
 // points' k-neighborhood balls contain q" in O(k + log n) time with O(n)
 // space.
 //
-// Queries are served from a frozen flat-array layout (children-adjacent
-// nodes, CSR-packed leaf ball ids, pre-squared radii) built once at
-// construction — the repository's only covering-ball query engine; the
-// built tree is kept for its statistics and the invariant auditor.
+// The build emits the structure straight into its flat-array form
+// (children-adjacent nodes, CSR-packed leaf ball ids, pre-squared radii),
+// the repository's only covering-ball query engine; the neighborhood
+// system is kept alongside it for the invariant auditor.
 // For query-heavy workloads use CoveringBallsBatch or a Batcher, which
 // fan batches across the worker pool and reuse result arenas so
 // steady-state serving performs zero allocations per batch.
 type QueryStructure struct {
-	tree   *septree.Tree
+	sys    *nbrsys.System
 	frozen *septree.Frozen
 	dim    int
 	k      int
@@ -85,15 +85,11 @@ func NewQueryStructureContext(ctx context.Context, points [][]float64, k int, se
 		opts = &septree.Options{Sep: &separator.Options{Chaos: inj}}
 	}
 	sys := nbrsys.KNeighborhood(ps.Vecs(), k)
-	tree, err := septree.BuildContext(ctx, sys, xrand.New(seed), opts)
+	frozen, err := septree.BuildContext(ctx, sys, xrand.New(seed), opts)
 	if err != nil {
 		return nil, err
 	}
-	frozen, err := septree.Freeze(tree)
-	if err != nil {
-		return nil, err
-	}
-	return &QueryStructure{tree: tree, frozen: frozen, dim: ps.Dim, k: k}, nil
+	return &QueryStructure{sys: sys, frozen: frozen, dim: ps.Dim, k: k}, nil
 }
 
 // validateQuery rejects dimension-mismatched or non-finite query
@@ -297,7 +293,7 @@ func (bt *Batcher) Stats() BatchQueryStats {
 
 // Stats returns the structure's shape statistics.
 func (qs *QueryStructure) Stats() QueryStructureStats {
-	st := qs.tree.Stats
+	st := qs.frozen.Stats
 	return QueryStructureStats{
 		Height:         st.Height,
 		Leaves:         st.Leaves,

@@ -43,11 +43,14 @@ type KernelResult struct {
 
 // LayoutResult is one dimension's whole-path serving comparison over
 // one built structure in its pair-blocked node layout (the only one):
-// ref = the generic kernel tier with per-query leaf scans against opt =
-// the dispatched kernels (unrolled, four-point and, on AVX2 hosts,
-// assembly forms) with query-blocked leaf scans, both through the
-// batch engine on one strand so the numbers isolate the kernels and
-// query blocking rather than scheduling. Descent and
+// ref = the generic kernel tier, which has no wide kernels, so every
+// query scans its leaf alone even where the engine groups it, against
+// opt = the dispatched kernels (unrolled, four-point and, on AVX2 hosts,
+// assembly forms), whose grouped leaf scans share each candidate load
+// across the group. Both run through the batch engine on one strand, so
+// the numbers isolate the kernels and query blocking rather than
+// scheduling. BlockWidth is the engine's own choice for the dimension
+// (1 at d<=3, 16 from d=4 on). Descent and
 // scan phase means come from one extra non-timed instrumented pass per
 // mode (a serving journal timing every query), phase-split exactly like
 // the production telemetry.
@@ -291,8 +294,8 @@ func phaseMeans(b *septree.Batch, queries [][]float64) (descent, scan float64) {
 // external serving traffic batches are routinely spatially clustered
 // too. Runs
 // land whole inside one strand chunk (8 divides batchChunk), so the
-// blocked engine can discover the same-leaf groups; the unblocked
-// reference serves the identical stream query by query.
+// blocked engine can discover the same-leaf groups; the reference
+// serves the identical stream.
 func layoutQueries(pts [][]float64, d, numQueries int, g *xrand.RNG) [][]float64 {
 	const run = 8
 	queries := make([][]float64, numQueries)
@@ -331,19 +334,6 @@ func layoutN(d int) int {
 	}
 }
 
-// layoutBlockWidth is the opt-mode query-block width for one dimension:
-// the engine's own configuration choice. d=2/3 keep the default
-// unblocked strand (their specialized whole-path scans leave nothing
-// for blocking to amortize); d >= 4 use the full width 16 — two
-// eight-lane assembly passes (or four four-wide Go passes) per
-// candidate group.
-func layoutBlockWidth(d int) int {
-	if d <= 3 {
-		return 1
-	}
-	return 16
-}
-
 // runLayoutBench measures ref vs opt serving per dimension over the
 // clustered query stream of layoutQueries — correlated runs being both
 // the library's own correction traffic and the case query blocking is
@@ -353,7 +343,6 @@ func runLayoutBench(dims []int, numQueries, iters int) ([]LayoutResult, error) {
 	var out []LayoutResult
 	for _, d := range dims {
 		n := layoutN(d)
-		blockWidth := layoutBlockWidth(d)
 		g := xrand.New(uint64(n*31 + d))
 		pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformCube, n, d, g.Split()))
 		sys := nbrsys.KNeighborhood(pts, k)
@@ -377,7 +366,6 @@ func runLayoutBench(dims []int, numQueries, iters int) ([]LayoutResult, error) {
 		queries := layoutQueries(pf, d, numQueries, g)
 		refB := septree.NewBatch(ref, 1)
 		optB := septree.NewBatch(opt, 1)
-		optB.SetBlockWidth(blockWidth)
 		refB.Run(queries)
 		optB.Run(queries)
 		for i := range queries {
@@ -406,7 +394,7 @@ func runLayoutBench(dims []int, numQueries, iters int) ([]LayoutResult, error) {
 		}
 		r := LayoutResult{
 			D: d, N: len(pts), K: k,
-			NumQueries: numQueries, Iterations: iters, BlockWidth: blockWidth,
+			NumQueries: numQueries, Iterations: iters, BlockWidth: optB.BlockWidth(),
 			RefNsPerQuery: refBest.Nanoseconds() / int64(numQueries),
 			OptNsPerQuery: optBest.Nanoseconds() / int64(numQueries),
 			RefQPS:        float64(numQueries) / refBest.Seconds(),

@@ -63,18 +63,20 @@ type Env struct {
 
 // Report is the whole BENCH_knn.json document.
 type Report struct {
-	Generated  string         `json:"generated"`
-	GoVersion  string         `json:"go_version"`
-	GOMAXPROCS int            `json:"gomaxprocs"`
-	Env        Env            `json:"env"`
-	Note       string         `json:"note"`
-	Baseline   []Result       `json:"baseline"`
-	Results    []Result       `json:"results"`
-	Query      []QueryResult  `json:"query,omitempty"`
-	Obs        []ObsOverhead  `json:"obs_overhead,omitempty"`
-	Journal    *JournalBench  `json:"journal,omitempty"`
-	Kernels    []KernelResult `json:"kernels,omitempty"`
-	Layout     []LayoutResult `json:"layout,omitempty"`
+	Generated  string `json:"generated"`
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Env        Env    `json:"env"`
+	// Notes describes how each section was measured, keyed by the
+	// section's JSON name.
+	Notes    map[string]string `json:"notes"`
+	Baseline []Result          `json:"baseline"`
+	Results  []Result          `json:"results"`
+	Query    []QueryResult     `json:"query,omitempty"`
+	Obs      []ObsOverhead     `json:"obs_overhead,omitempty"`
+	Journal  *JournalBench     `json:"journal,omitempty"`
+	Kernels  []KernelResult    `json:"kernels,omitempty"`
+	Layout   []LayoutResult    `json:"layout,omitempty"`
 }
 
 // captureEnv gathers the environment header: toolchain, CPU shape, the CPU
@@ -210,11 +212,7 @@ func remeasureObs(path string, queries, queryIters int) error {
 	if err != nil {
 		return fmt.Errorf("journal bench: %w", err)
 	}
-	return mergeSections(path, map[string]any{"obs_overhead": or, "journal": jb},
-		"obs_overhead+journal remeasured via -only obs (other sections predate it); "+
-			"obs_overhead modes = nil / observed (one serving journal at the production defaults) / "+
-			"traced (observed plus a trace context on every query, every 16th request sampled): "+
-			"traced_overhead_pct is the whole serving telemetry stack over nil, traced_vs_obs_pct the tracing layer alone")
+	return mergeSections(path, map[string]any{"obs_overhead": or, "journal": jb}, "obs")
 }
 
 // remeasureKernels re-runs only the dims-driven sections — kernels and
@@ -233,17 +231,48 @@ func remeasureKernels(path string, dims []int) error {
 	if err != nil {
 		return fmt.Errorf("layout bench: %w", err)
 	}
-	return mergeSections(path, map[string]any{"kernels": kr, "layout": lr, "env": captureEnv()},
-		"kernels+layout remeasured via -only kernels (other sections predate it); layout ref = "+
-			"the generic kernel tier, unblocked, on the same pair-blocked structure as opt (the only node layout)")
+	return mergeSections(path, map[string]any{"kernels": kr, "layout": lr, "env": captureEnv()}, "kernels")
+}
+
+// sectionNotes describes how knnbench measures each section of the
+// report, keyed by the section's JSON name.
+var sectionNotes = map[string]string{
+	"baseline": "seed commit 267ddc0 (pre flat-storage), measured back-to-back with results on the same machine",
+	"results": "grid matches BenchmarkBuildKNNGraph, each cell swept over -procs (GOMAXPROCS + Options.Workers " +
+		"pinned together); observed = one extra instrumented (Observe: true) run per DNC cell, not timed",
+	"query": "covering-ball serving over one structure per cell — frozen sequential, batch engine swept over " +
+		"procs 1/4/NumCPU with GOMAXPROCS pinned (procs above num_cpu skipped: oversubscribed cells time the " +
+		"scheduler); ns/query and qps are the fastest of query-iters identically-sized timed passes taken " +
+		"round-robin across modes (interleaved minimum: noise-robust on shared hosts and immune to multi-second " +
+		"skew, same work per pass in every mode)",
+	"obs_overhead": "the query section's interleaved-minimum protocol on the largest query cells, comparing a " +
+		"nil-observer batch engine (nil) against one observed by a serving journal at the production defaults " +
+		"(observed: one wide event per query, 1 in 16 timed) and one additionally traced (traced: every query " +
+		"carrying a trace context, every 16th request sampled), 0 allocs per pass; traced_overhead_pct is the " +
+		"whole serving telemetry stack over nil, traced_vs_obs_pct the tracing layer alone; the percentages are " +
+		"host-sensitive (2-CPU host: repeated runs of the same commit spread by about ten points at d=2)",
+	"journal": "drain throughput with a concurrent consumer and ring-overwrite rate with none, over a " +
+		"deliberately small 1024-event ring",
+	"kernels": "per-dimension distance-kernel micro-bench (generic fallback vs unrolled vs four-point vs the " +
+		"AVX2 assembly eight-lane forms where the CPU supports them, each captured under an explicitly pinned " +
+		"dispatch tier, interleaved minimum over identical operand streams; asm_speedup is best-asm-form vs the " +
+		"unrolled four-point kernel)",
+	"layout": "whole-path serving per dimension over a correlated query stream (runs of 8 jittered queries per " +
+		"anchor — the shape the correction's closed covering queries and clustered external traffic produce), " +
+		"both over one structure in the pair-blocked node layout (the only one), one strand: ref (the structure " +
+		"re-frozen under the generic kernel tier — flat kernels, no wide forms, so each query scans its leaf " +
+		"alone) vs opt (specialized kernels/descents, plus the engine's query-blocked leaf scans from d=4 on, " +
+		"block_width 16), answers cross-checked identical before timing, phase means from non-timed " +
+		"instrumented passes",
 }
 
 // mergeSections overwrites the given top-level sections of the existing
-// report at path, refreshes "generated", and appends note to the report
-// note once. The merge is over raw JSON, so every other key — including
-// sections other tools own, such as cmd/knnload's "serve" — survives
-// verbatim.
-func mergeSections(path string, sections map[string]any, note string) error {
+// report at path, replaces their notes with the current descriptions
+// stamped "re-measured alone via -only <mode>", and refreshes
+// "generated". The merge is over raw JSON, so every other key —
+// including sections other tools own, such as cmd/knnload's "serve" —
+// and every other section's note survive verbatim.
+func mergeSections(path string, sections map[string]any, mode string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("read existing report: %w", err)
@@ -252,17 +281,20 @@ func mergeSections(path string, sections map[string]any, note string) error {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return fmt.Errorf("parse existing report %s: %w", path, err)
 	}
-	var prev string
-	if n, ok := doc["note"]; ok {
-		if err := json.Unmarshal(n, &prev); err != nil {
-			return fmt.Errorf("parse existing report note: %w", err)
+	notes := map[string]string{}
+	if n, ok := doc["notes"]; ok {
+		if err := json.Unmarshal(n, &notes); err != nil {
+			return fmt.Errorf("parse existing report notes: %w", err)
 		}
 	}
-	if !strings.Contains(prev, note) {
-		prev += "; " + note
+	now := time.Now().UTC()
+	for key := range sections {
+		if note, ok := sectionNotes[key]; ok {
+			notes[key] = note + "; re-measured alone via -only " + mode + " on " + now.Format(time.DateOnly)
+		}
 	}
-	sections["note"] = prev
-	sections["generated"] = time.Now().UTC().Format(time.RFC3339)
+	sections["notes"] = notes
+	sections["generated"] = now.Format(time.RFC3339)
 	for key, v := range sections {
 		if doc[key], err = json.Marshal(v); err != nil {
 			return err
@@ -320,36 +352,14 @@ func main() {
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Env:        captureEnv(),
-		Note: "baseline = seed commit 267ddc0 (pre flat-storage), measured back-to-back " +
-			"with results on the same machine; grid matches BenchmarkBuildKNNGraph, each " +
-			"cell swept over -procs (GOMAXPROCS + Options.Workers pinned together); " +
-			"observed = one extra instrumented (Observe: true) run per DNC cell, not timed; " +
-			"query = covering-ball serving over one structure per cell — frozen " +
-			"sequential, batch engine swept over procs 1/4/NumCPU with GOMAXPROCS pinned " +
-			"(procs above num_cpu skipped: oversubscribed cells time the scheduler); " +
-			"query ns/query and qps are the fastest of query-iters identically-sized timed " +
-			"passes taken round-robin across modes (interleaved minimum: noise-robust on " +
-			"shared hosts and immune to multi-second skew, same work per pass in every mode); " +
-			"obs_overhead = the same interleaved-minimum protocol comparing a nil-observer " +
-			"batch engine against one observed by a serving journal at the production " +
-			"defaults (one wide event per query, 1 in 16 timed) and one additionally traced " +
-			"(every query carrying a trace context, every 16th request sampled), on the " +
-			"largest query cells (0 allocs per pass); " +
-			"journal = drain throughput with a concurrent consumer and ring-overwrite rate " +
-			"with none, over a deliberately small 1024-event ring; " +
-			"kernels = per-dimension distance-kernel micro-bench (generic fallback vs unrolled vs " +
-			"four-point vs the AVX2 assembly eight-lane forms where the CPU supports them, each captured " +
-			"under an explicitly pinned dispatch tier, interleaved minimum over identical operand " +
-			"streams; asm_speedup is best-asm-form vs the unrolled four-point kernel); layout = whole-path " +
-			"serving per dimension over a correlated query stream (runs of 8 jittered queries per " +
-			"anchor — the shape the correction's closed covering queries and clustered external traffic " +
-			"produce), both over one structure in the pair-blocked node layout (the only one): ref " +
-			"(the structure re-frozen under the generic kernel tier, per-query scans and descents, " +
-			"no query blocking) vs opt (specialized kernels/descents + query-blocked scans at " +
-			"block_width, 1 at d<=3 where the inline whole-path scans already win), answers " +
-			"cross-checked identical before timing, phase means from " +
-			"non-timed instrumented passes",
+		Notes:      map[string]string{},
 	}
+	describe := func(keys ...string) {
+		for _, key := range keys {
+			rep.Notes[key] = sectionNotes[key]
+		}
+	}
+	describe("baseline", "results")
 	rep.Baseline = baseline
 	for _, c := range grid {
 		for _, p := range procs {
@@ -382,6 +392,7 @@ func main() {
 			os.Exit(1)
 		}
 		rep.Journal = jb
+		describe("query", "obs_overhead", "journal")
 	}
 	if len(dims) > 0 {
 		rep.Kernels = runKernelBench(dims)
@@ -391,6 +402,7 @@ func main() {
 			os.Exit(1)
 		}
 		rep.Layout = lr
+		describe("kernels", "layout")
 	}
 	enc, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {

@@ -19,7 +19,7 @@ func TestOnlyKeepsForeignSections(t *testing.T) {
 
 	const serve = `{"shapes":[{"shape":"uniform","qps":96600,"p50_ms":3.78}],"note":"knnload"}`
 	path := filepath.Join(t.TempDir(), "BENCH_knn.json")
-	seed := `{"generated":"then","note":"full grid","results":[{"algorithm":"sphere"}],"serve":` + serve + `}`
+	seed := `{"generated":"then","notes":{"results":"full grid","layout":"stale layout text"},"results":[{"algorithm":"sphere"}],"serve":` + serve + `}`
 	if err := os.WriteFile(path, []byte(seed), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -59,20 +59,36 @@ func TestOnlyKeepsForeignSections(t *testing.T) {
 		if doc["generated"] == "then" {
 			t.Fatalf("-only %s left the generated stamp stale", mode.name)
 		}
-		if note := doc["note"].(string); !strings.HasPrefix(note, "full grid; ") || !strings.Contains(note, "-only "+mode.name) {
-			t.Fatalf("-only %s: note %q", mode.name, note)
+		notes := doc["notes"].(map[string]any)
+		if notes["results"] != "full grid" {
+			t.Fatalf("-only %s: results note %q, want it kept", mode.name, notes["results"])
+		}
+		for _, k := range mode.keys {
+			if note, ok := notes[k].(string); k != "env" && (!ok || !strings.Contains(note, "-only "+mode.name)) {
+				t.Fatalf("-only %s: %s note %q", mode.name, k, notes[k])
+			}
 		}
 	}
 
-	// A second run of the same mode appends its note only once.
-	if err := remeasureObs(path, 64, 2); err != nil {
+	// A second kernels merge in a row replaces its sections' notes
+	// rather than adding to them: one layout description remains.
+	if err := remeasureKernels(path, []int{2}); err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := os.ReadFile(path)
-	var doc map[string]any
-	json.Unmarshal(raw, &doc)
-	if n := strings.Count(doc["note"].(string), "-only obs"); n != 1 {
-		t.Fatalf("obs note appended %d times", n)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ Notes map[string]string }
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	described := 0
+	for _, note := range doc.Notes {
+		described += strings.Count(note, sectionNotes["layout"])
+	}
+	if layout := doc.Notes["layout"]; described != 1 || strings.Count(layout, "-only kernels") != 1 || strings.Contains(layout, "stale") {
+		t.Fatalf("after two -only kernels merges: %d layout descriptions, notes %q", described, doc.Notes)
 	}
 }
 

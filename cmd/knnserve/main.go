@@ -10,6 +10,9 @@
 // follows the backlog — Thm 3.1's amortization grows with load, and an
 // idle server answers a lone request without waiting on a timer.
 //
+// Leaf-scan query blocking has no flag: each pass's batch engine picks
+// it from -d (per-query scans at d<=3, shared same-leaf scans from d=4).
+//
 // Quickstart:
 //
 //	knnserve -addr :8080 -n 20000 -d 2 -k 3 &
@@ -50,7 +53,6 @@ func main() {
 		queue    = flag.Int("queue", 0, "per-replica pending-request queue bound (0 = 256)")
 		batch    = flag.Int("batch", 0, "coalesced queries per pass before cutover (0 = 512)")
 		sample   = flag.Int("sample", 0, "observer sampling: time 1 in N queries (0 = 16)")
-		blockW   = flag.Int("block-width", 0, "leaf-scan query-blocking width, 1..16 (0 = engine default)")
 		ringSize = flag.Int("journal-ring", 0, "observer event-ring capacity per strand (the window, tail and exemplar views read it); watch sepdc_journal_overwrite_rate (0 = 4096)")
 		flight   = flag.String("flight", "", "flight-recorder bundle directory (empty = off)")
 		flightLa = flag.Duration("flight-latency", 0, "flight SLO per-pass latency objective (0 = 100ms)")
@@ -69,7 +71,6 @@ func main() {
 		queue:         *queue,
 		maxBatch:      *batch,
 		sample:        *sample,
-		blockW:        *blockW,
 		ringSize:      *ringSize,
 		flightDir:     *flight,
 		flightLatency: *flightLa,

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -709,6 +710,82 @@ func TestServeSlowlorisCutOff(t *testing.T) {
 			t.Logf("cut off after %v; %d golden rounds served meanwhile", elapsed, rounds)
 			return
 		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
+// TestServeStalledReaderCutOff: a client that sends a query with a large
+// response and never reads it has its connection cut once the /query
+// write deadline passes, and the handler blocked writing to it returns.
+func TestServeStalledReaderCutOff(t *testing.T) {
+	cfg := testConfig()
+	cfg.k = 16 // ~16 covering balls per query: a multi-megabyte response
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	returned := make(chan time.Time, 1)
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = srv.httpServer("")
+	h := ts.Config.Handler
+	ts.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		h.ServeHTTP(w, req)
+		if req.URL.Path == "/query" {
+			returned <- time.Now()
+		}
+	})
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+
+	// A reading client gets the whole response; its size is the
+	// stalled client's too.
+	queries := testQueries(srv, 160000, 43)
+	want, _ := postBinary(t, ts.Client(), ts.URL, queries, srv.cfg.d, false)
+	<-returned
+	full := len(serveproto.AppendResponse(nil, 0, false, len(want),
+		func(i int) []int { return make([]int, len(want[i])) }))
+	if full < 8<<20 { // well past the loopback socket buffers
+		t.Fatalf("response of %d bytes is too small to stall the writer", full)
+	}
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frame := serveproto.AppendRequest(nil, queries, srv.cfg.d, false)
+	start := time.Now()
+	fmt.Fprintf(conn, "POST /query HTTP/1.1\r\nHost: sepdc\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n",
+		binaryContentType, len(frame))
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+
+	var took time.Duration
+	select {
+	case at := <-returned:
+		if took = at.Sub(start); took < writeTimeout/2 {
+			t.Fatalf("handler returned after %v, well before the %v write deadline", took, writeTimeout)
+		}
+	case <-time.After(writeTimeout + 10*time.Second):
+		t.Fatalf("handler still blocked writing %v after the request", writeTimeout+10*time.Second)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	got, err := io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open after the handler returned (%d bytes read)", got)
+	}
+	if got >= int64(full) {
+		t.Fatalf("read %d bytes, the whole %d-byte response: nothing was cut", got, full)
+	}
+	t.Logf("handler returned after %v; the client read %d of %d response bytes before the cut", took, got, full)
+	rows, _ := postBinary(t, ts.Client(), ts.URL, queries[:16], srv.cfg.d, false)
+	for i := range rows {
+		if !slices.Equal(rows[i], want[i]) {
+			t.Fatalf("after the cut, query %d: %v, want %v", i, rows[i], want[i])
 		}
 	}
 }

@@ -34,7 +34,6 @@ type serverConfig struct {
 	maxBatch int   // coalesced queries per pass cutover
 	maxBody  int64 // request body cap, bytes
 	sample   int   // observer sampling period (0 = default 16)
-	blockW   int   // leaf-scan query-blocking width (0 = engine default)
 	ringSize int   // observer event-ring capacity per strand (0 = default 4096)
 
 	flightDir     string        // flight-recorder bundle directory ("" = off)
@@ -228,9 +227,6 @@ func (s *server) buildGeneration(seed uint64) (*generation, error) {
 	s.gens.Add(1)
 	for i := 0; i < s.cfg.replicas; i++ {
 		bt := qs.NewBatcher(s.cfg.workers)
-		if s.cfg.blockW > 0 {
-			bt.SetBlockWidth(s.cfg.blockW)
-		}
 		bt.Observe(s.obs[i])
 		gen.batchers[i] = bt
 	}
@@ -325,12 +321,15 @@ func (s *server) Close() {
 // ---- HTTP layer ----
 
 // Connection timeouts. A client that trickles its request headers
-// (slowloris) or body, or parks an idle keep-alive connection, is cut
-// off instead of holding a connection open forever. There is no write
-// timeout: POST /swap legitimately runs for a whole rebuild.
+// (slowloris) or body, stops reading its /query response, or parks an
+// idle keep-alive connection, is cut off instead of holding a
+// connection (and a handler) forever. There is no server-wide write
+// timeout, because POST /swap legitimately runs for a whole rebuild;
+// /query sets writeTimeout as its own per-request write deadline.
 const (
 	readHeaderTimeout = 2 * time.Second
 	readTimeout       = 30 * time.Second // whole request, up to maxBody
+	writeTimeout      = 10 * time.Second // /query: from handler entry to the last response byte
 	idleTimeout       = 60 * time.Second
 )
 
@@ -383,6 +382,9 @@ type pooledBuf struct {
 var bufPool = sync.Pool{New: func() any { return &pooledBuf{} }}
 
 func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
+	// The server clears the deadline once the response is finished, so
+	// the connection's next request never inherits it.
+	http.NewResponseController(w).SetWriteDeadline(time.Now().Add(writeTimeout))
 	if s.closed.Load() {
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)
 		return

@@ -56,10 +56,10 @@ type JournalEvent struct {
 	Query int32 `json:"query"`
 	// Strand is the engine strand that answered it.
 	Strand int32 `json:"strand"`
-	// Leaf is the destination leaf node id, or -1 when the engine
-	// answered through a fused path that does not expose it (untimed
-	// queries on the unblocked engine). The descent path is the leaf's
-	// unique root-to-leaf chain, so the leaf identifies it.
+	// Leaf is the destination leaf node id, or -1 for an untimed query
+	// at d<=3, which the engine answers through a fused kernel that does
+	// not expose it. The descent path is the leaf's unique root-to-leaf
+	// chain, so the leaf identifies it.
 	Leaf int32 `json:"leaf"`
 	// Nodes is the descent depth (root-to-leaf nodes visited).
 	Nodes int32 `json:"nodes_visited"`
@@ -74,7 +74,8 @@ type JournalEvent struct {
 	// rather than the strand's sample tick. Forced events feed the
 	// exemplars but not the counts, histograms, window or tail.
 	Forced bool `json:"-"`
-	// Blocked marks a query answered by a shared query-blocked leaf scan.
+	// Blocked marks a query answered by a leaf scan shared with other
+	// queries of its chunk (d>=4 only).
 	Blocked bool `json:"blocked"`
 	// LatencyNs is always DescentNs + ScanNs: the ring stores the phase
 	// split and derives the total (with Seq and Strand) at read time, so

@@ -15,6 +15,12 @@ import (
 // query slice across them through the shared worker pool, with queries
 // handed out in chunks off one atomic counter so stragglers self-balance.
 //
+// Above d=3 the engine also blocks leaf scans: the queries of one chunk
+// that descend to the same leaf share one pass over its candidate
+// records. Leaves grow quickly with d (Lemma 6.1's crossing count), so
+// at d=2/3 the candidate stream is too short for the sharing to pay for
+// the grouping; there each query runs the fused per-query kernel.
+//
 // Every strand appends result ids into its own arena and records a
 // (shard, start, end) span per query, so the steady state — capacities
 // warmed up by earlier runs — performs zero heap allocations per Run:
@@ -38,7 +44,7 @@ type Batch struct {
 	next    atomic.Int64
 	nq      int64
 	closed  bool
-	blockW  int // leaf-scan query-block width; <= 1 disables blocking
+	blocked bool // same-leaf queries of a chunk share one leaf scan (d >= blockMinDim)
 
 	// inj is the serving-side chaos seam (nil = no injection, one
 	// predictable branch per claimed chunk): the stall clause delays a
@@ -74,37 +80,35 @@ type batchShard struct {
 	// published to the ring with one lock + one copy per chunk, so
 	// journaling every query costs low single-digit nanoseconds
 	// amortized and zero allocations. path is the descent-path scratch
-	// the timed queries reuse; it never shrinks, so steady state
-	// records without allocating.
+	// of the timed and blocked queries; it never shrinks, so steady
+	// state descends without allocating.
 	journal *obs.JournalStrand
 	jbuf    [batchChunk]obs.JournalEvent
 	path    []int32
-	// Query-blocking scratch (allocated by SetBlockWidth, reused across
-	// runs). leaves/qnodes/done hold the current chunk's descent results;
-	// qs and outs are the lane views handed to scanLeafBlock — outs lanes
-	// grow once and are recycled, keeping the blocked steady state
-	// allocation-free.
+	// Query-blocking scratch: leaves/qnodes/done hold the current
+	// chunk's descent results; qs and outs are the lane views handed to
+	// scanLeafBlock — outs lanes grow once and are recycled, keeping the
+	// blocked steady state allocation-free.
 	leaves [batchChunk]int32
 	qnodes [batchChunk]int32
 	done   [batchChunk]bool
-	qs     [][]float64
-	outs   [][]int
+	qs     [batchChunk][]float64
+	outs   [batchChunk][]int
 	_      [64]byte
 }
 
 // batchChunk is how many queries a strand claims per atomic fetch-add:
 // large enough that counter contention is negligible, small enough that
 // an unlucky strand stuck with deep queries sheds load to the others.
+// It also bounds a blocked leaf scan: sixteen query lanes are two
+// eight-wide assembly passes (or four four-wide Go passes) per
+// candidate, and the lane scratch stays resident in L1.
 const batchChunk = 16
 
-// maxBlockWidth caps the leaf-scan query-block width. Sixteen query
-// lanes are two eight-wide assembly passes (or four four-wide Go
-// passes) per candidate — wide enough that a hot leaf's record stream
-// is amortized over a full chunk's worth of co-located queries, narrow
-// enough that the lane scratch stays resident in L1. Matching
-// batchChunk means a chunk whose queries all land on one leaf forms a
-// single group.
-const maxBlockWidth = 16
+// blockMinDim is the lowest dimension whose engine blocks leaf scans.
+// Measured on a 2-vCPU Xeon (4096-query Run, p50 of 300 alternating
+// pairs), blocking lost 13–28% at d=2/3 and broke even or won at d=4/5.
+const blockMinDim = 4
 
 // NewBatch returns an engine with the given strand count over f.
 // workers <= 0 selects GOMAXPROCS. With one strand the engine runs
@@ -116,7 +120,7 @@ func NewBatch(f *Frozen, workers int) *Batch {
 	if workers <= 0 {
 		workers = p.Size()
 	}
-	b := &Batch{f: f, shards: make([]batchShard, workers)}
+	b := &Batch{f: f, shards: make([]batchShard, workers), blocked: f.Dim() >= blockMinDim}
 	if workers > 1 {
 		b.pool = p
 		b.submit = make([]func(), workers-1)
@@ -146,9 +150,6 @@ func (b *Batch) Observe(j *obs.Journal) {
 	j.Ensure(len(b.shards))
 	for i := range b.shards {
 		b.shards[i].journal = j.Strand(i) // nil journal hands out nil strands
-		if b.shards[i].path == nil && j != nil {
-			b.shards[i].path = make([]int32, 0, 64)
-		}
 	}
 }
 
@@ -160,48 +161,13 @@ func (b *Batch) Observe(j *obs.Journal) {
 // Run.
 func (b *Batch) Chaos(inj *chaos.Injector) { b.inj = inj }
 
-// SetBlockWidth sets the engine's leaf-scan query-blocking width,
-// clamped to [1, 16]. Widths above 1 enable blocked scans: after a chunk
-// of queries descends, queries that landed on the same leaf are grouped
-// up to the width and answered by one streaming pass over the leaf's
-// candidate records (scanLeafBlock), amortizing the candidate stream —
-// the dominant memory traffic at d >= 4 — across the group. Answers are
-// bit-identical to the unblocked engine and each query's ids stay in
-// ascending order; width 1 restores the sequential per-query path.
-// Sampled (timed) queries always take the individual phase-split path so
-// telemetry keeps meaning the same thing. Not safe to call concurrently
-// with Run.
-func (b *Batch) SetBlockWidth(w int) {
-	if w < 1 {
-		w = 1
-	}
-	if w > maxBlockWidth {
-		w = maxBlockWidth
-	}
-	b.blockW = w
-	if w == 1 {
-		return
-	}
-	for i := range b.shards {
-		sh := &b.shards[i]
-		if sh.path == nil {
-			sh.path = make([]int32, 0, 64)
-		}
-		if sh.qs == nil {
-			sh.qs = make([][]float64, maxBlockWidth)
-		}
-		if sh.outs == nil {
-			sh.outs = make([][]int, maxBlockWidth)
-		}
-	}
-}
-
-// BlockWidth returns the current leaf-scan query-block width.
+// BlockWidth returns how many same-leaf queries one leaf scan may
+// serve: a full chunk when the engine blocks, otherwise 1.
 func (b *Batch) BlockWidth() int {
-	if b.blockW < 1 {
-		return 1
+	if b.blocked {
+		return batchChunk
 	}
-	return b.blockW
+	return 1
 }
 
 // Run answers an open-ball covering query for every element of queries
@@ -285,8 +251,7 @@ func (b *Batch) runTraced(queries [][]float64, traces []obs.TraceContext, closed
 
 // traceOf returns query qi's request trace context and its derived
 // per-query span id (ChildSpan of the request span, salted with the
-// query index — deterministic, collision-free within a request). The
-// untraced-run fast path is the tr == nil check the callers hoist.
+// query index — deterministic, collision-free within a request).
 func traceOf(tr []obs.TraceContext, qi int64) (obs.TraceContext, uint64) {
 	if tr == nil {
 		return obs.TraceContext{}, 0
@@ -300,32 +265,33 @@ func traceOf(tr []obs.TraceContext, qi int64) (obs.TraceContext, uint64) {
 
 // strand is one worker's loop: claim a chunk of query indices, answer
 // each into this strand's arena, repeat until the batch is drained.
+//
+// The first pass walks the chunk in order. A timed query takes the
+// phase-split path: clock reads bracket DescendPath and ScanLeaf — the
+// two halves the covering kernels are built from — and its event
+// records the destination leaf. An untimed query takes the fused
+// Covering kernel on an unblocked engine, and only descends on a
+// blocked one. The second pass (blocked engines only) bundles the
+// chunk's descended queries by leaf and answers each bundle with one
+// scanLeafBlock pass over the leaf's candidate records. Grouping is
+// O(chunk²) compares over at most 16 int32s — noise next to one leaf
+// scan. Every per-query observable (ids, order, nodes visited,
+// candidates scanned, spans, counters) is the same on either engine.
 func (b *Batch) strand(id int) {
-	if b.blockW > 1 {
-		b.strandBlocked(id)
-		return
-	}
 	sh := &b.shards[id]
 	f := b.f
-	closed := b.closed
-	tr := b.traces
-	jn := sh.journal != nil
+	closed, blocked, tr := b.closed, b.blocked, b.traces
 	for {
 		lo := b.next.Add(batchChunk) - batchChunk
 		if lo >= b.nq {
 			return
 		}
-		hi := lo + batchChunk
-		if hi > b.nq {
-			hi = b.nq
-		}
+		cn := int(min(b.nq-lo, batchChunk))
 		b.inj.Stall(nil) // chaos: a lagging serving worker (nil = no-op)
-		for qi := lo; qi < hi; qi++ {
+		for k := 0; k < cn; k++ {
+			qi := lo + int64(k)
+			q := b.queries[qi]
 			before := len(sh.ids)
-			var nodes, scanned int
-			leaf := int32(-1)
-			var descNs, scanNs, startNs int64
-			tc, qspan := traceOf(tr, qi)
 			// A client-sampled trace forces the timed path; the strand's
 			// own tick still advances so the deterministic cadence of
 			// untraced sampling is unchanged. Only tick-selected queries
@@ -333,92 +299,8 @@ func (b *Batch) strand(id int) {
 			// so, and feeds only the exemplars, so traced traffic cannot
 			// skew the sampled statistics.
 			tick := sh.journal.ShouldSample()
-			sampled := tick || tc.Sampled
-			if sampled {
-				// Sampled timed path: phase-split clock reads bracket the
-				// descent and the leaf scan separately, and the event
-				// records the destination leaf. Identical answers —
-				// DescendPath/ScanLeaf are the two halves the covering
-				// kernels are built from.
-				q := b.queries[qi]
-				t0 := time.Now()
-				lf, path := f.DescendPath(q, sh.path[:0])
-				t1 := time.Now()
-				sh.ids, scanned = f.ScanLeaf(lf, q, closed, sh.ids)
-				t2 := time.Now()
-				sh.path = path
-				nodes = len(path)
-				leaf = lf
-				descNs, scanNs = t1.Sub(t0).Nanoseconds(), t2.Sub(t1).Nanoseconds()
-				if tc.Valid() {
-					startNs = t0.UnixNano()
-				}
-			} else if closed {
-				sh.ids, nodes, scanned = f.CoveringClosed(b.queries[qi], sh.ids)
-			} else {
-				sh.ids, nodes, scanned = f.Covering(b.queries[qi], sh.ids)
-			}
-			b.spans[qi] = span{shard: int32(id), start: int32(before), end: int32(len(sh.ids))}
-			sh.queries++
-			sh.nodes += int64(nodes)
-			sh.scanned += int64(scanned)
-			if jn {
-				sh.jbuf[qi-lo] = obs.JournalEvent{
-					Batch: b.curBatch, Query: int32(qi), Leaf: leaf,
-					Nodes: int32(nodes), Scanned: int32(scanned),
-					Reported: int32(len(sh.ids) - before),
-					Sampled:  sampled, Forced: sampled && !tick,
-					LatencyNs: descNs + scanNs, DescentNs: descNs, ScanNs: scanNs,
-					TraceHi: tc.TraceHi, TraceLo: tc.TraceLo, Span: qspan,
-					StartNs: startNs,
-				}
-			}
-		}
-		if jn {
-			sh.journal.Publish(sh.jbuf[:hi-lo])
-		}
-	}
-}
-
-// strandBlocked is strand with leaf-scan query blocking: each chunk is
-// answered in two phases. Phase 1 descends every query, recording its
-// destination leaf and path length (sampled queries are answered
-// completely on the individual timed path here, so the phase-split
-// telemetry stays comparable across modes). Phase 2 walks the chunk in
-// order, bundling up to blockW not-yet-answered queries that share a
-// leaf into one scanLeafBlock pass; each lane's hits are then copied
-// into the shard arena and its span recorded. Grouping is O(chunk²)
-// pointer-free compares over at most 16 int32s — noise next to one leaf
-// scan. Every per-query observable (ids, order, nodes visited,
-// candidates scanned, spans, counters) matches the sequential strand.
-func (b *Batch) strandBlocked(id int) {
-	sh := &b.shards[id]
-	f := b.f
-	closed := b.closed
-	blockW := b.blockW
-	tr := b.traces
-	jn := sh.journal != nil
-	for {
-		lo := b.next.Add(batchChunk) - batchChunk
-		if lo >= b.nq {
-			return
-		}
-		hi := lo + batchChunk
-		if hi > b.nq {
-			hi = b.nq
-		}
-		cn := int(hi - lo)
-		b.inj.Stall(nil) // chaos: a lagging serving worker (nil = no-op)
-		// Phase 1: descend. DescendPath dispatches to the d=2/3 inlined
-		// descents at the hot dimensions and reuses the shard's path
-		// scratch, so counting nodes costs nothing extra.
-		for k := 0; k < cn; k++ {
-			qi := lo + int64(k)
-			q := b.queries[qi]
-			tc, qspan := traceOf(tr, qi)
-			tick := sh.journal.ShouldSample()
-			if tick || tc.Sampled {
-				before := len(sh.ids)
+			switch {
+			case tick || tr != nil && tr[qi].Sampled:
 				t0 := time.Now()
 				leaf, path := f.DescendPath(q, sh.path[:0])
 				t1 := time.Now()
@@ -426,97 +308,91 @@ func (b *Batch) strandBlocked(id int) {
 				sh.ids, scanned = f.ScanLeaf(leaf, q, closed, sh.ids)
 				t2 := time.Now()
 				sh.path = path
-				descNs, scanNs := t1.Sub(t0).Nanoseconds(), t2.Sub(t1).Nanoseconds()
-				var startNs int64
-				if tc.Valid() {
-					startNs = t0.UnixNano()
-				}
-				b.spans[qi] = span{shard: int32(id), start: int32(before), end: int32(len(sh.ids))}
-				sh.queries++
-				sh.nodes += int64(len(path))
-				sh.scanned += int64(scanned)
 				sh.done[k] = true
-				if jn {
-					sh.jbuf[k] = obs.JournalEvent{
-						Batch: b.curBatch, Query: int32(qi), Leaf: leaf,
-						Nodes: int32(len(path)), Scanned: int32(scanned),
-						Reported: int32(len(sh.ids) - before),
-						Sampled:  true, Forced: !tick,
-						LatencyNs: descNs + scanNs, DescentNs: descNs, ScanNs: scanNs,
-						TraceHi: tc.TraceHi, TraceLo: tc.TraceLo, Span: qspan,
-						StartNs: startNs,
-					}
+				b.finish(sh, id, k, qi, before, answer{
+					leaf: leaf, nodes: int32(len(path)), scanned: int32(scanned),
+					sampled: true, forced: !tick,
+					descNs: t1.Sub(t0).Nanoseconds(), scanNs: t2.Sub(t1).Nanoseconds(),
+					startNs: t0.UnixNano(),
+				})
+			case blocked:
+				leaf, path := f.DescendPath(q, sh.path[:0])
+				sh.path = path
+				sh.leaves[k], sh.qnodes[k], sh.done[k] = leaf, int32(len(path)), false
+			default:
+				var nodes, scanned int
+				if closed {
+					sh.ids, nodes, scanned = f.CoveringClosed(q, sh.ids)
+				} else {
+					sh.ids, nodes, scanned = f.Covering(q, sh.ids)
 				}
-				continue
+				b.finish(sh, id, k, qi, before, answer{leaf: -1, nodes: int32(nodes), scanned: int32(scanned)})
 			}
-			leaf, path := f.DescendPath(q, sh.path[:0])
-			sh.path = path
-			sh.leaves[k] = leaf
-			sh.qnodes[k] = int32(len(path))
-			sh.done[k] = false
 		}
-		// Phase 2: bundle same-leaf queries and scan.
-		for k := 0; k < cn; k++ {
+		for k := 0; blocked && k < cn; k++ {
 			if sh.done[k] {
 				continue
 			}
-			leaf := sh.leaves[k]
-			w := 0
-			var lanes [maxBlockWidth]int
-			for m := k; m < cn && w < blockW; m++ {
+			leaf, w := sh.leaves[k], 0
+			var lanes [batchChunk]int
+			for m := k; m < cn; m++ {
 				if !sh.done[m] && sh.leaves[m] == leaf {
-					lanes[w] = m
 					sh.done[m] = true
+					lanes[w] = m
+					sh.qs[w] = b.queries[lo+int64(m)]
+					sh.outs[w] = sh.outs[w][:0]
 					w++
 				}
 			}
-			if w == 1 {
-				qi := lo + int64(k)
-				before := len(sh.ids)
-				var scanned int
-				sh.ids, scanned = f.ScanLeaf(leaf, b.queries[qi], closed, sh.ids)
-				b.spans[qi] = span{shard: int32(id), start: int32(before), end: int32(len(sh.ids))}
-				sh.queries++
-				sh.nodes += int64(sh.qnodes[k])
-				sh.scanned += int64(scanned)
-				if jn {
-					tc, qspan := traceOf(tr, qi)
-					sh.jbuf[k] = obs.JournalEvent{
-						Batch: b.curBatch, Query: int32(qi), Leaf: leaf,
-						Nodes: sh.qnodes[k], Scanned: int32(scanned),
-						Reported: int32(len(sh.ids) - before),
-						TraceHi:  tc.TraceHi, TraceLo: tc.TraceLo, Span: qspan,
-					}
-				}
-				continue
-			}
-			for i := 0; i < w; i++ {
-				sh.qs[i] = b.queries[lo+int64(lanes[i])]
-				sh.outs[i] = sh.outs[i][:0]
-			}
-			scanned := f.scanLeafBlock(leaf, sh.qs[:w], closed, sh.outs[:w])
-			for i := 0; i < w; i++ {
-				qi := lo + int64(lanes[i])
+			scanned := int32(f.scanLeafBlock(leaf, sh.qs[:w], closed, sh.outs[:w]))
+			for i, m := range lanes[:w] {
 				before := len(sh.ids)
 				sh.ids = append(sh.ids, sh.outs[i]...)
-				b.spans[qi] = span{shard: int32(id), start: int32(before), end: int32(len(sh.ids))}
-				sh.queries++
-				sh.nodes += int64(sh.qnodes[lanes[i]])
-				sh.scanned += int64(scanned)
-				if jn {
-					tc, qspan := traceOf(tr, qi)
-					sh.jbuf[lanes[i]] = obs.JournalEvent{
-						Batch: b.curBatch, Query: int32(qi), Leaf: leaf,
-						Nodes: sh.qnodes[lanes[i]], Scanned: int32(scanned),
-						Reported: int32(len(sh.ids) - before), Blocked: true,
-						TraceHi: tc.TraceHi, TraceLo: tc.TraceLo, Span: qspan,
-					}
-				}
+				b.finish(sh, id, m, lo+int64(m), before, answer{
+					leaf: leaf, nodes: sh.qnodes[m], scanned: scanned, blocked: w > 1,
+				})
 			}
 		}
-		if jn {
+		if sh.journal != nil {
 			sh.journal.Publish(sh.jbuf[:cn])
 		}
+	}
+}
+
+// answer is what the engine learned answering one query, besides its
+// ids. The timing fields are set only on a sampled (timed) query.
+type answer struct {
+	leaf            int32 // destination leaf; -1 when a fused kernel answered
+	nodes, scanned  int32
+	blocked         bool // answered by a leaf scan shared with other queries
+	sampled, forced bool
+	descNs, scanNs  int64
+	startNs         int64 // wall-clock start, kept only for traced queries
+}
+
+// finish records query qi — chunk slot k, whose ids are the arena
+// suffix from before — as answered: its span, the strand counters and,
+// with a journal attached, its event in the chunk scratch.
+func (b *Batch) finish(sh *batchShard, id, k int, qi int64, before int, a answer) {
+	b.spans[qi] = span{shard: int32(id), start: int32(before), end: int32(len(sh.ids))}
+	sh.queries++
+	sh.nodes += int64(a.nodes)
+	sh.scanned += int64(a.scanned)
+	if sh.journal == nil {
+		return
+	}
+	tc, qspan := traceOf(b.traces, qi)
+	if !tc.Valid() {
+		a.startNs = 0
+	}
+	sh.jbuf[k] = obs.JournalEvent{
+		Batch: b.curBatch, Query: int32(qi), Leaf: a.leaf,
+		Nodes: a.nodes, Scanned: a.scanned,
+		Reported: int32(len(sh.ids) - before),
+		Sampled:  a.sampled, Forced: a.forced, Blocked: a.blocked,
+		LatencyNs: a.descNs + a.scanNs, DescentNs: a.descNs, ScanNs: a.scanNs,
+		TraceHi: tc.TraceHi, TraceLo: tc.TraceLo, Span: qspan,
+		StartNs: a.startNs,
 	}
 }
 

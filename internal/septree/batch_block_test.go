@@ -7,41 +7,41 @@ import (
 )
 
 // TestBlockedBatchIdenticalResults is the query-blocking golden
-// contract: for every block width, worker count, dimension, and
-// predicate, the blocked engine returns exactly the ids — same order,
-// same counter accounting — of the sequential engine. queryMix's
-// stored-center bias makes same-leaf collisions common, so the grouped
-// scan path is exercised heavily, while random queries keep singleton
-// and partial-width groups in play.
+// contract: for every worker count, dimension, and predicate, the
+// blocked engine returns exactly the ids — same order, same counter
+// accounting — of the sequential engine, both forced on one structure
+// whichever the dimension would pick. queryMix's stored-center bias
+// makes same-leaf collisions common, so the grouped scan path is
+// exercised heavily, while random queries keep singleton and
+// partial-chunk groups in play.
 func TestBlockedBatchIdenticalResults(t *testing.T) {
 	for _, d := range []int{2, 3, 4, 6} {
 		f, _, pts := buildUniform(t, 1200, d, 3, 37, nil)
 		queries := queryMix(pts, d, 333, 39)
 		for _, workers := range []int{1, 4} {
-			for _, width := range []int{2, 4, 8} {
-				seq := NewBatch(f, workers)
-				blk := NewBatch(f, workers)
-				blk.SetBlockWidth(width)
-				for _, closed := range []bool{false, true} {
-					if closed {
-						seq.RunClosed(queries)
-						blk.RunClosed(queries)
-					} else {
-						seq.Run(queries)
-						blk.Run(queries)
-					}
-					for i := range queries {
-						if !equalInts(seq.Result(i), blk.Result(i)) {
-							t.Fatalf("d=%d workers=%d width=%d closed=%v query %d: blocked %v, sequential %v",
-								d, workers, width, closed, i, blk.Result(i), seq.Result(i))
-						}
+			seq := NewBatch(f, workers)
+			seq.blocked = false
+			blk := NewBatch(f, workers)
+			blk.blocked = true
+			for _, closed := range []bool{false, true} {
+				if closed {
+					seq.RunClosed(queries)
+					blk.RunClosed(queries)
+				} else {
+					seq.Run(queries)
+					blk.Run(queries)
+				}
+				for i := range queries {
+					if !equalInts(seq.Result(i), blk.Result(i)) {
+						t.Fatalf("d=%d workers=%d closed=%v query %d: blocked %v, sequential %v",
+							d, workers, closed, i, blk.Result(i), seq.Result(i))
 					}
 				}
-				a, bst := seq.Stats(), blk.Stats()
-				if a.Queries != bst.Queries || a.NodesVisited != bst.NodesVisited || a.LeafScanned != bst.LeafScanned {
-					t.Fatalf("d=%d workers=%d width=%d: blocked stats %+v diverge from sequential %+v",
-						d, workers, width, bst, a)
-				}
+			}
+			a, bst := seq.Stats(), blk.Stats()
+			if a.Queries != bst.Queries || a.NodesVisited != bst.NodesVisited || a.LeafScanned != bst.LeafScanned {
+				t.Fatalf("d=%d workers=%d: blocked stats %+v diverge from sequential %+v",
+					d, workers, bst, a)
 			}
 		}
 	}
@@ -56,10 +56,11 @@ func TestBlockedBatchObservedIdentical(t *testing.T) {
 	f, _, pts := buildUniform(t, 1500, 4, 3, 41, nil)
 	queries := queryMix(pts, 4, 256, 43)
 	seq := NewBatch(f, 4)
+	seq.blocked = false
 	blk := NewBatch(f, 4)
-	blk.SetBlockWidth(4)
+	blk.blocked = true
 	obsBlk := NewBatch(f, 4)
-	obsBlk.SetBlockWidth(4)
+	obsBlk.blocked = true
 	j := obs.NewJournal(obs.JournalConfig{SampleEvery: 1}, 4)
 	obsBlk.Observe(j)
 	seq.Run(queries)
@@ -86,7 +87,7 @@ func TestBlockedBatchZeroAllocSteadyState(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			for _, observed := range []bool{false, true} {
 				b := NewBatch(f, workers)
-				b.SetBlockWidth(8)
+				b.blocked = true
 				if observed {
 					b.Observe(obs.NewJournal(obs.JournalConfig{SampleEvery: 4}, workers))
 				}
@@ -102,24 +103,13 @@ func TestBlockedBatchZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestSetBlockWidthClamps pins the clamp and the width-1 off switch.
-func TestSetBlockWidthClamps(t *testing.T) {
-	f, _, pts := buildUniform(t, 600, 2, 2, 49, nil)
-	b := NewBatch(f, 1)
-	if b.BlockWidth() != 1 {
-		t.Fatalf("default width %d, want 1", b.BlockWidth())
-	}
-	b.SetBlockWidth(100)
-	if b.BlockWidth() != maxBlockWidth {
-		t.Fatalf("width after SetBlockWidth(100) = %d, want %d", b.BlockWidth(), maxBlockWidth)
-	}
-	b.SetBlockWidth(-3)
-	if b.BlockWidth() != 1 {
-		t.Fatalf("width after SetBlockWidth(-3) = %d, want 1", b.BlockWidth())
-	}
-	queries := queryMix(pts, 2, 64, 51)
-	b.Run(queries)
-	if b.Len() != len(queries) {
-		t.Fatalf("Len = %d, want %d", b.Len(), len(queries))
+// TestBatchBlocksFromDimension pins the engine's rule: per-query
+// scans at d <= 3, full-chunk leaf blocking from d = 4 on.
+func TestBatchBlocksFromDimension(t *testing.T) {
+	for d, want := range map[int]int{2: 1, 3: 1, 4: batchChunk, 5: batchChunk} {
+		f, _, _ := buildUniform(t, 300, d, 2, 49, nil)
+		if got := NewBatch(f, 1).BlockWidth(); got != want {
+			t.Fatalf("d=%d: block width %d, want %d", d, got, want)
+		}
 	}
 }

@@ -15,11 +15,11 @@ func TestJournaledBatchIdenticalResults(t *testing.T) {
 	f, _, pts := buildUniform(t, 1200, 3, 3, 29, nil)
 	queries := queryMix(pts, 3, 333, 31)
 	for _, workers := range []int{1, 4} {
-		for _, blockW := range []int{1, 4} {
+		for _, blocked := range []bool{false, true} {
 			plain := NewBatch(f, workers)
-			plain.SetBlockWidth(blockW)
+			plain.blocked = blocked
 			journaled := NewBatch(f, workers)
-			journaled.SetBlockWidth(blockW)
+			journaled.blocked = blocked
 			journaled.Observe(obs.NewJournal(obs.JournalConfig{SampleEvery: 4, PerStrand: 512}, workers))
 			for _, closed := range []bool{false, true} {
 				if closed {
@@ -31,15 +31,15 @@ func TestJournaledBatchIdenticalResults(t *testing.T) {
 				}
 				for i := range queries {
 					if !equalInts(plain.Result(i), journaled.Result(i)) {
-						t.Fatalf("workers=%d blockW=%d closed=%v query %d: journaled %v, plain %v",
-							workers, blockW, closed, i, journaled.Result(i), plain.Result(i))
+						t.Fatalf("workers=%d blocked=%v closed=%v query %d: journaled %v, plain %v",
+							workers, blocked, closed, i, journaled.Result(i), plain.Result(i))
 					}
 				}
 			}
 			a, b := plain.Stats(), journaled.Stats()
 			if a.Queries != b.Queries || a.NodesVisited != b.NodesVisited || a.LeafScanned != b.LeafScanned {
-				t.Fatalf("workers=%d blockW=%d: journaled stats %+v diverge from plain %+v",
-					workers, blockW, b, a)
+				t.Fatalf("workers=%d blocked=%v: journaled stats %+v diverge from plain %+v",
+					workers, blocked, b, a)
 			}
 		}
 	}
@@ -51,9 +51,9 @@ func TestJournaledBatchIdenticalResults(t *testing.T) {
 func TestJournaledBatchEventCorrectness(t *testing.T) {
 	f, _, pts := buildUniform(t, 1500, 2, 3, 7, nil)
 	queries := queryMix(pts, 2, 300, 13)
-	for _, blockW := range []int{1, 4} {
+	for _, blocked := range []bool{false, true} {
 		b := NewBatch(f, 4)
-		b.SetBlockWidth(blockW)
+		b.blocked = blocked
 		// Big enough that even one strand serving the whole load (pool
 		// degraded to inline on a saturated box) keeps both Runs' events.
 		j := obs.NewJournal(obs.JournalConfig{SampleEvery: 4, PerStrand: 2048}, 4)
@@ -63,7 +63,7 @@ func TestJournaledBatchEventCorrectness(t *testing.T) {
 
 		d := j.Snapshot()
 		if d.Published != uint64(2*len(queries)) {
-			t.Fatalf("blockW=%d: published %d events, want %d", blockW, d.Published, 2*len(queries))
+			t.Fatalf("blocked=%v: published %d events, want %d", blocked, d.Published, 2*len(queries))
 		}
 		// Exactly one event per (batch, query), batches stamped 1 and 2.
 		seen := map[[2]int64]bool{}
@@ -72,60 +72,60 @@ func TestJournaledBatchEventCorrectness(t *testing.T) {
 		for _, ev := range d.Events {
 			key := [2]int64{ev.Batch, int64(ev.Query)}
 			if seen[key] {
-				t.Fatalf("blockW=%d: duplicate event %+v", blockW, ev)
+				t.Fatalf("blocked=%v: duplicate event %+v", blocked, ev)
 			}
 			seen[key] = true
 			if ev.Batch != 1 && ev.Batch != 2 {
-				t.Fatalf("blockW=%d: batch ordinal %d", blockW, ev.Batch)
+				t.Fatalf("blocked=%v: batch ordinal %d", blocked, ev.Batch)
 			}
 			if ev.Query < 0 || int(ev.Query) >= len(queries) {
-				t.Fatalf("blockW=%d: query id %d out of range", blockW, ev.Query)
+				t.Fatalf("blocked=%v: query id %d out of range", blocked, ev.Query)
 			}
 			if ev.Nodes < 1 {
-				t.Fatalf("blockW=%d: event visited %d nodes", blockW, ev.Nodes)
+				t.Fatalf("blocked=%v: event visited %d nodes", blocked, ev.Nodes)
 			}
 			if ev.Leaf >= 0 && int(ev.Leaf) >= f.NumNodes() {
-				t.Fatalf("blockW=%d: leaf %d out of range", blockW, ev.Leaf)
+				t.Fatalf("blocked=%v: leaf %d out of range", blocked, ev.Leaf)
 			}
-			if blockW > 1 && ev.Leaf < 0 {
+			if blocked && ev.Leaf < 0 {
 				// The blocked engine always knows the destination leaf.
-				t.Fatalf("blockW=%d: blocked-mode event lost its leaf: %+v", blockW, ev)
+				t.Fatalf("blocked=%v: blocked-mode event lost its leaf: %+v", blocked, ev)
 			}
 			if ev.Sampled {
 				sampled++
 				if ev.LatencyNs != ev.DescentNs+ev.ScanNs || ev.LatencyNs <= 0 {
-					t.Fatalf("blockW=%d: sampled latency %d != %d + %d",
-						blockW, ev.LatencyNs, ev.DescentNs, ev.ScanNs)
+					t.Fatalf("blocked=%v: sampled latency %d != %d + %d",
+						blocked, ev.LatencyNs, ev.DescentNs, ev.ScanNs)
 				}
 				if ev.Blocked {
-					t.Fatalf("blockW=%d: sampled query claimed blocked: %+v", blockW, ev)
+					t.Fatalf("blocked=%v: sampled query claimed blocked: %+v", blocked, ev)
 				}
 			}
 			if ev.Batch == 2 {
 				// The second Run's results are still addressable.
 				if got := int32(len(b.Result(int(ev.Query)))); got != ev.Reported {
-					t.Fatalf("blockW=%d: query %d reported %d, Result has %d",
-						blockW, ev.Query, ev.Reported, got)
+					t.Fatalf("blocked=%v: query %d reported %d, Result has %d",
+						blocked, ev.Query, ev.Reported, got)
 				}
 				nodes += int64(ev.Nodes)
 				scanned += int64(ev.Scanned)
 			}
 		}
 		if len(seen) != 2*len(queries) {
-			t.Fatalf("blockW=%d: %d distinct events, want %d", blockW, len(seen), 2*len(queries))
+			t.Fatalf("blocked=%v: %d distinct events, want %d", blocked, len(seen), 2*len(queries))
 		}
 		if sampled == 0 {
-			t.Fatalf("blockW=%d: no sampled events at shift 2", blockW)
+			t.Fatalf("blocked=%v: no sampled events at shift 2", blocked)
 		}
 		// Nodes reconcile with the engine's exact counter for one Run:
 		// unblocked-mode scanned is exact too; blocked lanes share a scan,
 		// so each lane charges the full pass (matching Stats accounting).
 		st := b.Stats()
 		if nodes != st.NodesVisited/2 {
-			t.Fatalf("blockW=%d: journal nodes %d, engine %d per run", blockW, nodes, st.NodesVisited/2)
+			t.Fatalf("blocked=%v: journal nodes %d, engine %d per run", blocked, nodes, st.NodesVisited/2)
 		}
 		if scanned != st.LeafScanned/2 {
-			t.Fatalf("blockW=%d: journal scanned %d, engine %d per run", blockW, scanned, st.LeafScanned/2)
+			t.Fatalf("blocked=%v: journal scanned %d, engine %d per run", blocked, scanned, st.LeafScanned/2)
 		}
 	}
 }
@@ -138,16 +138,16 @@ func TestJournaledBatchZeroAllocSteadyState(t *testing.T) {
 	f, _, pts := buildUniform(t, 2000, 2, 3, 5, nil)
 	queries := queryMix(pts, 2, 256, 9)
 	for _, workers := range []int{1, 4} {
-		for _, blockW := range []int{1, 4} {
+		for _, blocked := range []bool{false, true} {
 			b := NewBatch(f, workers)
-			b.SetBlockWidth(blockW)
+			b.blocked = blocked
 			b.Observe(obs.NewJournal(obs.JournalConfig{SampleEvery: 4, PerStrand: 1024}, workers))
 			for warm := 0; warm < 3; warm++ {
 				b.Run(queries)
 			}
 			if avg := testing.AllocsPerRun(50, func() { b.Run(queries) }); avg != 0 {
-				t.Fatalf("workers=%d blockW=%d: %v allocs per journaled steady-state Run, want 0",
-					workers, blockW, avg)
+				t.Fatalf("workers=%d blocked=%v: %v allocs per journaled steady-state Run, want 0",
+					workers, blocked, avg)
 			}
 		}
 	}

@@ -37,14 +37,14 @@ func TestTracedBatchIdenticalResults(t *testing.T) {
 	queries := queryMix(pts, 3, 333, 31)
 	traces := mkTraces(len(queries), 8, 77, 4, 5)
 	for _, workers := range []int{1, 4} {
-		for _, blockW := range []int{1, 4} {
+		for _, blocked := range []bool{false, true} {
 			plainRec := obs.NewJournal(obs.JournalConfig{SampleEvery: 4, PerStrand: 512}, workers)
 			tracedRec := obs.NewJournal(obs.JournalConfig{SampleEvery: 4, PerStrand: 512}, workers)
 			plain := NewBatch(f, workers)
-			plain.SetBlockWidth(blockW)
+			plain.blocked = blocked
 			plain.Observe(plainRec)
 			traced := NewBatch(f, workers)
-			traced.SetBlockWidth(blockW)
+			traced.blocked = blocked
 			traced.Observe(tracedRec)
 			for _, closed := range []bool{false, true} {
 				if closed {
@@ -56,15 +56,15 @@ func TestTracedBatchIdenticalResults(t *testing.T) {
 				}
 				for i := range queries {
 					if !equalInts(plain.Result(i), traced.Result(i)) {
-						t.Fatalf("workers=%d blockW=%d closed=%v query %d: traced %v, plain %v",
-							workers, blockW, closed, i, traced.Result(i), plain.Result(i))
+						t.Fatalf("workers=%d blocked=%v closed=%v query %d: traced %v, plain %v",
+							workers, blocked, closed, i, traced.Result(i), plain.Result(i))
 					}
 				}
 			}
 			a, b := plain.Stats(), traced.Stats()
 			if a.Queries != b.Queries || a.NodesVisited != b.NodesVisited || a.LeafScanned != b.LeafScanned {
-				t.Fatalf("workers=%d blockW=%d: traced stats %+v diverge from plain %+v",
-					workers, blockW, b, a)
+				t.Fatalf("workers=%d blocked=%v: traced stats %+v diverge from plain %+v",
+					workers, blocked, b, a)
 			}
 			// With one worker the per-strand sample cadence is fully
 			// deterministic: the traced journal's aggregates must match
@@ -74,8 +74,8 @@ func TestTracedBatchIdenticalResults(t *testing.T) {
 				ps, ts := plainRec.ServeSnapshot(), tracedRec.ServeSnapshot()
 				if ps.Queries != ts.Queries || ps.Sampled != ts.Sampled ||
 					ps.Latency.Count != ts.Latency.Count || ps.Window.Window != ts.Window.Window {
-					t.Fatalf("blockW=%d: tracing skewed recorder stats: plain queries=%d sampled=%d count=%d, traced queries=%d sampled=%d count=%d",
-						blockW, ps.Queries, ps.Sampled, ps.Latency.Count,
+					t.Fatalf("blocked=%v: tracing skewed recorder stats: plain queries=%d sampled=%d count=%d, traced queries=%d sampled=%d count=%d",
+						blocked, ps.Queries, ps.Sampled, ps.Latency.Count,
 						ts.Queries, ts.Sampled, ts.Latency.Count)
 				}
 			}
@@ -91,56 +91,56 @@ func TestTracedBatchJournalStamps(t *testing.T) {
 	f, _, pts := buildUniform(t, 1500, 2, 3, 7, nil)
 	queries := queryMix(pts, 2, 300, 13)
 	traces := mkTraces(len(queries), 8, 99, 4, 5)
-	for _, blockW := range []int{1, 4} {
+	for _, blocked := range []bool{false, true} {
 		b := NewBatch(f, 4)
-		b.SetBlockWidth(blockW)
+		b.blocked = blocked
 		j := obs.NewJournal(obs.JournalConfig{SampleEvery: 4, PerStrand: 2048}, 4)
 		b.Observe(j)
 		b.RunTraced(queries, traces)
 
 		d := j.Snapshot()
 		if d.Published != uint64(len(queries)) {
-			t.Fatalf("blockW=%d: published %d events, want %d", blockW, d.Published, len(queries))
+			t.Fatalf("blocked=%v: published %d events, want %d", blocked, d.Published, len(queries))
 		}
 		tracedEvents, sampledTraced := 0, 0
 		for _, ev := range d.Events {
 			tc := traces[ev.Query]
 			if ev.Forced && (!tc.Sampled || !ev.Sampled) {
-				t.Fatalf("blockW=%d: query %d forced without a sampled trace: %+v", blockW, ev.Query, ev)
+				t.Fatalf("blocked=%v: query %d forced without a sampled trace: %+v", blocked, ev.Query, ev)
 			}
 			if !tc.Valid() {
 				if ev.Traced() || ev.TraceID != "" || ev.SpanID != "" {
-					t.Fatalf("blockW=%d: untraced query %d carries trace fields: %+v", blockW, ev.Query, ev)
+					t.Fatalf("blocked=%v: untraced query %d carries trace fields: %+v", blocked, ev.Query, ev)
 				}
 				continue
 			}
 			tracedEvents++
 			if ev.TraceHi != tc.TraceHi || ev.TraceLo != tc.TraceLo {
-				t.Fatalf("blockW=%d: query %d trace %x%x, want %x%x",
-					blockW, ev.Query, ev.TraceHi, ev.TraceLo, tc.TraceHi, tc.TraceLo)
+				t.Fatalf("blocked=%v: query %d trace %x%x, want %x%x",
+					blocked, ev.Query, ev.TraceHi, ev.TraceLo, tc.TraceHi, tc.TraceLo)
 			}
 			wantSpan := obs.ChildSpan(tc.Span, uint64(ev.Query))
 			if ev.Span != wantSpan {
-				t.Fatalf("blockW=%d: query %d span %x, want ChildSpan %x", blockW, ev.Query, ev.Span, wantSpan)
+				t.Fatalf("blocked=%v: query %d span %x, want ChildSpan %x", blocked, ev.Query, ev.Span, wantSpan)
 			}
 			if ev.TraceID != obs.TraceIDString(tc.TraceHi, tc.TraceLo) {
-				t.Fatalf("blockW=%d: query %d trace id %q not derived from raw ids", blockW, ev.Query, ev.TraceID)
+				t.Fatalf("blocked=%v: query %d trace id %q not derived from raw ids", blocked, ev.Query, ev.TraceID)
 			}
 			if ev.SpanID != obs.SpanIDString(wantSpan) {
-				t.Fatalf("blockW=%d: query %d span id %q, want %q",
-					blockW, ev.Query, ev.SpanID, obs.SpanIDString(wantSpan))
+				t.Fatalf("blocked=%v: query %d span id %q, want %q",
+					blocked, ev.Query, ev.SpanID, obs.SpanIDString(wantSpan))
 			}
 			if tc.Sampled {
 				// A client-sampled trace forces the timed path: the event
 				// must carry phase latencies and a wall-clock start.
 				if !ev.Sampled || ev.LatencyNs <= 0 || ev.StartNs <= 0 {
-					t.Fatalf("blockW=%d: sampled trace query %d not timed: %+v", blockW, ev.Query, ev)
+					t.Fatalf("blocked=%v: sampled trace query %d not timed: %+v", blocked, ev.Query, ev)
 				}
 				sampledTraced++
 			}
 		}
 		if tracedEvents == 0 || sampledTraced == 0 {
-			t.Fatalf("blockW=%d: traced=%d sampledTraced=%d, want both > 0", blockW, tracedEvents, sampledTraced)
+			t.Fatalf("blocked=%v: traced=%d sampledTraced=%d, want both > 0", blocked, tracedEvents, sampledTraced)
 		}
 	}
 }
@@ -154,16 +154,16 @@ func TestTracedBatchZeroAllocSteadyState(t *testing.T) {
 	queries := queryMix(pts, 2, 256, 9)
 	traces := mkTraces(len(queries), 8, 55, 4, 0)
 	for _, workers := range []int{1, 4} {
-		for _, blockW := range []int{1, 4} {
+		for _, blocked := range []bool{false, true} {
 			b := NewBatch(f, workers)
-			b.SetBlockWidth(blockW)
+			b.blocked = blocked
 			b.Observe(obs.NewJournal(obs.JournalConfig{SampleEvery: 4, PerStrand: 1024}, workers))
 			for warm := 0; warm < 3; warm++ {
 				b.RunTraced(queries, traces)
 			}
 			if avg := testing.AllocsPerRun(50, func() { b.RunTraced(queries, traces) }); avg != 0 {
-				t.Fatalf("workers=%d blockW=%d: %v allocs per traced steady-state Run, want 0",
-					workers, blockW, avg)
+				t.Fatalf("workers=%d blocked=%v: %v allocs per traced steady-state Run, want 0",
+					workers, blocked, avg)
 			}
 		}
 	}

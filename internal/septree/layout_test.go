@@ -102,8 +102,8 @@ func TestGenericTierFreeze(t *testing.T) {
 // TestScanLeafBlockMatchesSequential routes bundles of queries that
 // descend to the same leaf through the blocked scan and checks each
 // lane against an individual ScanLeaf — the golden contract the Batch
-// engine's query blocking relies on. Bundle widths cover the partial
-// (<4), exact-multiple, and remainder lane shapes of the 4-wide kernel.
+// engine's query blocking relies on. Bundle widths 1..16 cover every
+// mix of eight-lane, four-lane and remainder shapes a chunk can form.
 func TestScanLeafBlockMatchesSequential(t *testing.T) {
 	g := xrand.New(53)
 	for _, d := range []int{2, 4, 7} {
@@ -115,16 +115,19 @@ func TestScanLeafBlockMatchesSequential(t *testing.T) {
 		}
 		queries := queryMix(pts, d, 400, uint64(60+d))
 		// Bucket queries by destination leaf, then scan each bucket in
-		// bundles of every width from 1 to 8.
+		// bundles of every width from 1 to a full chunk: the eight-lane,
+		// four-lane and remainder shapes and all their sums.
 		byLeaf := map[int32][][]float64{}
 		for _, q := range queries {
 			leaf, _ := f.descend(q)
 			byLeaf[leaf] = append(byLeaf[leaf], q)
 		}
-		outs := make([][]int, 8)
+		outs := make([][]int, batchChunk)
+		full := false
 		for leaf, qs := range byLeaf {
+			full = full || len(qs) >= batchChunk
 			for _, closed := range []bool{false, true} {
-				for w := 1; w <= 8 && w <= len(qs); w++ {
+				for w := 1; w <= batchChunk && w <= len(qs); w++ {
 					block := qs[:w]
 					for i := range outs[:w] {
 						outs[i] = outs[i][:0]
@@ -142,6 +145,9 @@ func TestScanLeafBlockMatchesSequential(t *testing.T) {
 					}
 				}
 			}
+		}
+		if !full {
+			t.Fatalf("d=%d: no leaf drew %d queries; the widest bundles went unchecked", d, batchChunk)
 		}
 	}
 }

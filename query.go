@@ -177,7 +177,10 @@ type Batcher struct {
 
 // NewBatcher returns a Batcher with the given parallelism (0 selects
 // GOMAXPROCS). Strands beyond the caller's are scheduled on the shared
-// worker pool and degrade to inline execution under saturation.
+// worker pool and degrade to inline execution under saturation. From
+// d=4 on, where leaves are large, each strand also bundles the queries
+// that descend to the same leaf into one pass over the leaf's candidate
+// records; answers are bit-identical either way.
 //
 // Like the build path, the Batcher honors the KNN_CHAOS environment
 // spec: the stall clause delays each strand before every chunk of
@@ -191,15 +194,6 @@ func (qs *QueryStructure) NewBatcher(workers int) *Batcher {
 	}
 	return &Batcher{qs: qs, b: b}
 }
-
-// SetBlockWidth sets the leaf-scan query-blocking width, clamped to
-// [1, 16]. Widths above 1 let each worker bundle queries that descend to
-// the same leaf and answer them with one streaming pass over the leaf's
-// candidate records — a throughput win when many queries land together
-// (clustered workloads, d >= 4 trees with large leaves). Answers are
-// bit-identical to the unblocked engine. Width 1 (the default) restores
-// per-query scanning. Not safe to call concurrently with Run.
-func (bt *Batcher) SetBlockWidth(w int) { bt.b.SetBlockWidth(w) }
 
 // Run answers an open-ball covering query for every element of queries.
 // Results are read with Result and stay valid until the next Run.

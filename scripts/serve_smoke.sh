@@ -2,16 +2,19 @@
 # Serving smoke gate: boot cmd/knnserve, replay deterministic knnload
 # traffic at a fixed seed with golden checking on, lint the live
 # /metrics exposition, drive a hot snapshot swap under load (the "swap"
-# shape), and assert zero errors and zero golden failures. Exits
-# nonzero on any wrong answer, serve error, or malformed exposition.
+# shape), and assert zero errors and zero golden failures. A d=4 leg
+# repeats the golden load where the batch engine blocks leaf scans.
+# Exits nonzero on any wrong answer, serve error, or malformed
+# exposition.
 set -euo pipefail
 
 ADDR="${ADDR:-127.0.0.1:18427}"
 ADDR2="${ADDR2:-127.0.0.1:18428}"
+ADDR3="${ADDR3:-127.0.0.1:18429}"
 N=4000 D=2 K=3 SEED=7
 OUT="$(mktemp -d)"
-trap 'rm -rf "$OUT"; kill "$SERVE_PID" "$SERVE2_PID" 2>/dev/null || true' EXIT
-SERVE_PID="" SERVE2_PID=""
+trap 'rm -rf "$OUT"; kill "$SERVE_PID" "$SERVE2_PID" "$SERVE3_PID" 2>/dev/null || true' EXIT
+SERVE_PID="" SERVE2_PID="" SERVE3_PID=""
 
 go build -o "$OUT/knnserve" ./cmd/knnserve
 go build -o "$OUT/knnload" ./cmd/knnload
@@ -223,6 +226,44 @@ grep -q "$TP_ID" "$bundle/traces.jsonl" || {
   exit 1
 }
 echo "serve-smoke: flight bundle ok: $(basename "$bundle") retains trace $TP_ID"
+
+# ---- d=4 leg: the engine's query-blocked leaf scans over HTTP. ----
+# From d=4 on the batch engine groups same-leaf queries into one leaf
+# scan; the hot shape packs requests onto a few leaves and the swap
+# shape rebuilds under load. knnload's golden reference is built over a
+# different tree, so its leaves and groups differ from the server's.
+"$OUT/knnserve" -addr "$ADDR3" -n 1500 -d 4 -k "$K" -seed "$SEED" \
+  >"$OUT/serve3.log" 2>&1 &
+SERVE3_PID=$!
+up=""
+for _ in $(seq 1 60); do
+  if curl -fsS "http://$ADDR3/healthz" -o /dev/null 2>/dev/null; then
+    up=yes
+    break
+  fi
+  if ! kill -0 "$SERVE3_PID" 2>/dev/null; then
+    echo "serve-smoke: d=4 knnserve exited before serving" >&2
+    cat "$OUT/serve3.log" >&2
+    exit 1
+  fi
+  sleep 1
+done
+[ -n "$up" ] || { echo "serve-smoke: $ADDR3/healthz never came up" >&2; exit 1; }
+"$OUT/knnload" -addr "$ADDR3" -n 1500 -d 4 -k "$K" -seed "$SEED" \
+  -shapes uniform,hot,swap -conns 4 -requests 60 -batch 16 \
+  -swap-every 100 -golden >"$OUT/load4.json"
+python3 - "$OUT/load4.json" <<'PY'
+import json, sys
+shapes = {s["shape"]: s for s in json.load(open(sys.argv[1]))["shapes"]}
+assert shapes["swap"].get("swaps", 0) >= 1, "d=4: no hot swap completed during load"
+for name, s in shapes.items():
+    assert s["errors"] == 0, f"d=4 {name}: {s['errors']} serve errors"
+    assert s["golden_failures"] == 0, f"d=4 {name}: wrong answers"
+    assert s["requests"] > 0, f"d=4 {name}: no requests served"
+print("serve-smoke: d=4 shapes ok:", ", ".join(sorted(shapes)))
+PY
+kill "$SERVE3_PID" 2>/dev/null || true
+wait "$SERVE3_PID" 2>/dev/null || true
 
 # Final health check: the server survived the whole run.
 curl -fsS "http://$ADDR/healthz" -o "$OUT/healthz2.json"
